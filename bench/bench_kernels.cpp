@@ -165,8 +165,8 @@ void BM_DeviceConvPBlock(benchmark::State& state) {
 BENCHMARK(BM_DeviceConvPBlock);
 
 void BM_BinaryConv2dInfer(benchmark::State& state) {
-  // The engine path of a binarized conv on ±1 input: cached bit-packed
-  // weights + XNOR-popcount over a packed im2col. Compare BM_DeviceConvPBlock
+  // The engine path of a binarized conv on ±1 input: cached channel-packed
+  // weights + XNOR-popcount over the channel-packed input. Compare BM_DeviceConvPBlock
   // and the BENCH_engine.json comparison this binary writes on exit.
   Rng rng(8);
   nn::BinaryConv2d conv(4, 8, 3, 1, 1, rng);

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "tensor/bitgemm.hpp"
 #include "tensor/bitpack.hpp"
 #include "util/error.hpp"
 
@@ -49,11 +50,14 @@ Tensor decode_class_scores(const Message& msg, std::int64_t num_classes) {
 Message encode_binary_feature_map(const Tensor& features) {
   DDNN_CHECK(features.defined(), "encoding undefined tensor");
   // Precondition: the tensor really is binarized (exact +-1), otherwise
-  // packing would silently lose information.
-  for (std::int64_t i = 0; i < features.numel(); ++i) {
-    DDNN_CHECK(features[i] == 1.0f || features[i] == -1.0f,
-               "feature map is not binarized at index " << i << ": "
-                                                        << features[i]);
+  // packing would silently lose information. Only a failed check searches
+  // for the offending index.
+  if (!bitgemm::all_pm1(features)) {
+    const float* p = features.data();
+    std::int64_t i = 0;
+    while (p[i] == 1.0f || p[i] == -1.0f) ++i;
+    DDNN_CHECK(false, "feature map is not binarized at index " << i << ": "
+                                                              << p[i]);
   }
   Message msg;
   msg.kind = MessageKind::kBinaryFeatureMap;
@@ -77,11 +81,13 @@ Message encode_raw_image(const Tensor& image) {
   DDNN_CHECK(image.defined(), "encoding undefined tensor");
   Message msg;
   msg.kind = MessageKind::kRawImage;
-  msg.payload.resize(static_cast<std::size_t>(image.numel()));
-  for (std::int64_t i = 0; i < image.numel(); ++i) {
-    const float clipped = std::fmin(1.0f, std::fmax(0.0f, image[i]));
-    msg.payload[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(std::lround(clipped * 255.0f));
+  const std::int64_t n = image.numel();
+  msg.payload.resize(static_cast<std::size_t>(n));
+  const float* p = image.data();
+  std::uint8_t* out = msg.payload.data();
+  for (std::int64_t i = 0; i < n; ++i) {
+    const float clipped = std::fmin(1.0f, std::fmax(0.0f, p[i]));
+    out[i] = static_cast<std::uint8_t>(std::lround(clipped * 255.0f));
   }
   return msg;
 }
@@ -94,9 +100,11 @@ Tensor decode_raw_image(const Message& msg, Shape shape) {
                  << msg.payload.size() << " B, want " << shape.numel()
                  << " B for shape " << shape.to_string());
   Tensor t(std::move(shape));
-  for (std::int64_t i = 0; i < t.numel(); ++i) {
-    t[i] = static_cast<float>(msg.payload[static_cast<std::size_t>(i)]) /
-           255.0f;
+  const std::int64_t n = t.numel();
+  float* p = t.data();
+  const std::uint8_t* in = msg.payload.data();
+  for (std::int64_t i = 0; i < n; ++i) {
+    p[i] = static_cast<float>(in[i]) / 255.0f;
   }
   return t;
 }

@@ -1,7 +1,9 @@
 #include "nn/layers.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "tensor/im2col.hpp"
 #include "tensor/tensor_ops.hpp"
@@ -23,6 +25,49 @@ void rows_to_nchw_into(const Tensor& mat, std::int64_t n, std::int64_t f,
         const float* row = pm + ((b * oh + y) * ow + x) * f;
         for (std::int64_t c = 0; c < f; ++c) {
           po[((b * f + c) * oh + y) * ow + x] = row[c];
+        }
+      }
+    }
+  }
+}
+
+/// Max pooling over `planes` [h, w] planes. Each output keeps
+/// autograd::max_pool2d's -inf seed and takes the `v > best` select over its
+/// in-bounds taps in (ky, kx) order, but the loop runs a whole output row per
+/// tap: the selects of neighbouring outputs are independent, so they
+/// pipeline instead of forming one latency chain per window, and column
+/// bounds are worked out once per tap instead of per tap and output.
+void max_pool_rows(const float* px, std::int64_t planes, std::int64_t h,
+                   std::int64_t w, std::int64_t kernel, std::int64_t stride,
+                   std::int64_t pad, std::int64_t oh, std::int64_t ow,
+                   float* po) {
+  // Per tap column kx, the outputs [lo, hi) whose input column
+  // ox*stride - pad + kx is in bounds (worked out once: no division below).
+  std::vector<std::int64_t> ox_lo(static_cast<std::size_t>(kernel));
+  std::vector<std::int64_t> ox_hi(static_cast<std::size_t>(kernel));
+  for (std::int64_t kx = 0; kx < kernel; ++kx) {
+    std::int64_t lo = 0, hi = ow;
+    while (lo < ow && lo * stride - pad + kx < 0) ++lo;
+    while (hi > lo && (hi - 1) * stride - pad + kx >= w) --hi;
+    ox_lo[static_cast<std::size_t>(kx)] = lo;
+    ox_hi[static_cast<std::size_t>(kx)] = hi;
+  }
+  for (std::int64_t p = 0; p < planes; ++p) {
+    const float* plane = px + p * h * w;
+    for (std::int64_t oy = 0; oy < oh; ++oy) {
+      float* best = po + (p * oh + oy) * ow;
+      std::fill_n(best, ow, -std::numeric_limits<float>::infinity());
+      for (std::int64_t ky = 0; ky < kernel; ++ky) {
+        const std::int64_t iy = oy * stride - pad + ky;
+        if (iy < 0 || iy >= h) continue;
+        const float* row = plane + iy * w;
+        for (std::int64_t kx = 0; kx < kernel; ++kx) {
+          const std::int64_t hi = ox_hi[static_cast<std::size_t>(kx)];
+          for (std::int64_t ox = ox_lo[static_cast<std::size_t>(kx)]; ox < hi;
+               ++ox) {
+            const float v = row[ox * stride - pad + kx];
+            best[ox] = v > best[ox] ? v : best[ox];
+          }
         }
       }
     }
@@ -62,14 +107,19 @@ Tensor relu_tensor(const Tensor& x, infer::Workspace& ws) {
 
 namespace detail {
 
-const bitgemm::PackedSigns& PackedWeightCache::get(const autograd::Variable& w,
-                                                   std::int64_t rows,
-                                                   std::int64_t cols) {
+const PackedWeights& PackedWeightCache::get(const autograd::Variable& w) {
   const std::uint64_t want = w.version() + 1;
   if (stamp.load(std::memory_order_acquire) != want) {
     std::lock_guard<std::mutex> lock(mu);
     if (stamp.load(std::memory_order_relaxed) != want) {
-      packed = bitgemm::pack_signs_matrix(w.value().data(), rows, cols);
+      const Tensor& v = w.value();
+      const std::int64_t rows = v.dim(0);
+      packed.signs =
+          bitgemm::pack_signs_matrix(v.data(), rows, v.numel() / rows);
+      if (v.ndim() == 4) {
+        bitgemm::pack_conv_bits(packed.signs.bits, v.dim(1), v.dim(2), v.dim(3),
+                                packed.conv);
+      }
       stamp.store(want, std::memory_order_release);
     }
   }
@@ -121,7 +171,7 @@ Variable BinaryLinear::forward(const Variable& x) {
 Tensor BinaryLinear::infer(const Tensor& x, infer::Workspace& ws) {
   DDNN_CHECK(x.ndim() == 2 && x.dim(1) == in_,
              "BinaryLinear::infer: bad input shape " << x.shape().to_string());
-  const bitgemm::PackedSigns& w = packed_.get(weight_, out_, in_);
+  const bitgemm::PackedSigns& w = packed_.get(weight_).signs;
   Tensor out = ws.acquire(Shape{x.dim(0), out_});
   ws.note_use(x);
   if (bitgemm::all_pm1(x)) {
@@ -214,14 +264,13 @@ Tensor BinaryConv2d::infer(const Tensor& x, infer::Workspace& ws) {
                    .kernel_w = wt.dim(3),
                    .stride = stride_,
                    .pad = pad_};
-  const bitgemm::PackedSigns& w =
-      packed_.get(weight_, wt.dim(0), g.patch_size());
+  const detail::PackedWeights& w = packed_.get(weight_);
   Tensor out = ws.acquire(Shape{x.dim(0), wt.dim(0), g.out_h(), g.out_w()});
   ws.note_use(x);
   if (bitgemm::all_pm1(x)) {
-    bitgemm::xnor_conv2d(x, g, w.bits, out);
+    bitgemm::xnor_conv2d(x, g, w.conv, out);
   } else {
-    bitgemm::sign_conv2d(x, g, w, out);
+    bitgemm::sign_conv2d(x, g, w.signs, out);
   }
   return out;
 }
@@ -243,54 +292,10 @@ Tensor MaxPool2d::infer(const Tensor& x, infer::Workspace& ws) {
   DDNN_CHECK(oh > 0 && ow > 0, "MaxPool2d::infer: empty output");
   Tensor out = ws.acquire(Shape{n, c, oh, ow});
   ws.note_use(x);
-  // Same window scan as autograd::max_pool2d, minus argmax bookkeeping;
+  // Same selects as autograd::max_pool2d, minus argmax bookkeeping;
   // comparisons are exact, so the selected values match bit-for-bit.
-  const float* px = x.data();
-  float* po = out.data();
-  std::int64_t oidx = 0;
-  if (pad_ == 0) {
-    // Unpadded windows are always fully in bounds (oh/ow round down), so the
-    // scan needs no per-element checks.
-    for (std::int64_t p = 0; p < n * c; ++p) {
-      const float* plane = px + p * h * w;
-      for (std::int64_t oy = 0; oy < oh; ++oy) {
-        for (std::int64_t ox = 0; ox < ow; ++ox, ++oidx) {
-          const float* win = plane + oy * stride_ * w + ox * stride_;
-          // Same -inf seed as autograd::max_pool2d so even NaN inputs agree.
-          float best = -std::numeric_limits<float>::infinity();
-          for (std::int64_t ky = 0; ky < kernel_; ++ky) {
-            const float* row = win + ky * w;
-            for (std::int64_t kx = 0; kx < kernel_; ++kx) {
-              if (row[kx] > best) best = row[kx];
-            }
-          }
-          po[oidx] = best;
-        }
-      }
-    }
-    return out;
-  }
-  for (std::int64_t b = 0; b < n; ++b) {
-    for (std::int64_t ch = 0; ch < c; ++ch) {
-      const float* plane = px + (b * c + ch) * h * w;
-      for (std::int64_t oy = 0; oy < oh; ++oy) {
-        for (std::int64_t ox = 0; ox < ow; ++ox, ++oidx) {
-          float best = -std::numeric_limits<float>::infinity();
-          for (std::int64_t ky = 0; ky < kernel_; ++ky) {
-            const std::int64_t iy = oy * stride_ - pad_ + ky;
-            if (iy < 0 || iy >= h) continue;
-            for (std::int64_t kx = 0; kx < kernel_; ++kx) {
-              const std::int64_t ix = ox * stride_ - pad_ + kx;
-              if (ix < 0 || ix >= w) continue;
-              const float v = plane[iy * w + ix];
-              if (v > best) best = v;
-            }
-          }
-          po[oidx] = best;
-        }
-      }
-    }
-  }
+  max_pool_rows(x.data(), n * c, h, w, kernel_, stride_, pad_, oh, ow,
+                out.data());
   return out;
 }
 

@@ -41,18 +41,25 @@ Tensor relu_tensor(const Tensor& x, infer::Workspace& ws);
 
 namespace detail {
 
-/// Lazily (re)built packed form of a binarized layer's latent weights.
+/// Packed forms of a binarized layer's latent weights.
+struct PackedWeights {
+  bitgemm::PackedSigns signs;
+  /// Channel-packed XNOR conv form; empty unless the weight is 4-D
+  /// ([F, C, KH, KW]).
+  bitgemm::PackedConvBits conv;
+};
+
+/// Lazily (re)built packed forms of a binarized layer's latent weights.
 /// `stamp` is the weight version the pack is valid for, offset by one so 0
 /// means "never packed". Double-checked: the hot path is one atomic load.
 struct PackedWeightCache {
   std::atomic<std::uint64_t> stamp{0};
   std::mutex mu;
-  bitgemm::PackedSigns packed;
+  PackedWeights packed;
 
-  /// Current pack of `w`'s value viewed as [rows, cols], rebuilding if the
-  /// weight's version moved since the last pack.
-  const bitgemm::PackedSigns& get(const autograd::Variable& w,
-                                  std::int64_t rows, std::int64_t cols);
+  /// Current packs of `w`'s value viewed as [dim0, numel/dim0], rebuilding
+  /// them if the weight's version moved since the last pack.
+  const PackedWeights& get(const autograd::Variable& w);
 };
 
 }  // namespace detail
@@ -113,8 +120,9 @@ class BinaryConv2d : public Module {
                std::int64_t kernel, std::int64_t stride, std::int64_t pad,
                Rng& rng);
   Variable forward(const Variable& x);
-  /// Packed-im2col XNOR-popcount for ±1 inputs, direct sign-accumulate
-  /// convolution for float inputs; both bit-identical to forward().
+  /// Channel-packed XNOR-popcount for ±1 inputs, register-tiled
+  /// sign-accumulate convolution for float inputs; both bit-identical to
+  /// forward().
   Tensor infer(const Tensor& x, infer::Workspace& ws);
 
   std::int64_t weight_bits() const { return weight_.numel(); }

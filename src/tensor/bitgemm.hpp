@@ -5,7 +5,7 @@
 // bitpack.hpp and ops::sign). Two kernel families execute against the pack:
 //
 //   XNOR-popcount  — when the input is itself ±1, a K-term dot product is
-//                    valid_count - 2*popcount((x ^ w) & mask): pure integer
+//                    valid_count - 2*popcount(x ^ w): pure integer
 //                    arithmetic, exact, then converted to float (lossless
 //                    for K < 2^24).
 //   sign-accumulate — when the input is full-precision float (raw images,
@@ -16,10 +16,25 @@
 //                    bit-for-bit.
 //
 // Both are therefore bit-identical to the autograd path (im2col + float
-// GEMM over sign(w)); padded positions contribute 0 * (±1) = ±0 there,
-// which never changes a partial sum, so the packed kernels may skip them.
-// The convolution kernels consume the input directly (no materialized col
-// matrix) and write NCHW output in place.
+// GEMM over sign(w)). The convolution kernels consume the input directly (no
+// materialized col matrix) and write NCHW output in place:
+//
+//   xnor_conv2d packs the input channel-major per pixel (ceil(C/64) words
+//   per pixel, bit c%64 of word c/64 = sign of channel c) and the weights
+//   tap-major as [tap][word][filter] (PackedConvBits), so the inner popcount
+//   loop runs over contiguous filters and vectorizes. Out-of-bounds taps are
+//   skipped, so an output's valid count is C times its number of in-bounds
+//   taps; channel bits past C are zero in both packs and never disagree.
+//
+//   sign_conv2d copies each image once into a zero-padded per-thread scratch
+//   image and accumulates a block of filters x a span of output columns in
+//   registers, adding each output's taps in ascending (c, ky, kx) order.
+//   x * (±1) is exact, so the only rounding is in the accumulation, and each
+//   output's terms arrive in the order matmul_nt adds them. A padded term
+//   is 0 * (±1) = ±0 — the same term im2col feeds matmul_nt. Adding it also
+//   equals skipping it: an accumulator that starts at +0.0f can never become
+//   -0.0f (a round-to-nearest sum is -0 only when both addends are -0), and
+//   y + ±0 == y for every other y, NaN and ±inf included.
 #pragma once
 
 #include <cstdint>
@@ -60,6 +75,25 @@ void pack_sign_rows(const float* data, std::int64_t rows, std::int64_t cols,
 PackedSigns pack_signs_matrix(const float* data, std::int64_t rows,
                               std::int64_t cols);
 
+/// Sign bits of a binarized [F, C, KH, KW] convolution weight in the
+/// channel-packed conv form: tap t = ky*KW + kx holds words_per_pixel =
+/// ceil(C/64) words per filter, word-major, whose bit c%64 of word c/64 is
+/// the sign of channel c (trailing bits zero).
+struct PackedConvBits {
+  std::int64_t filters = 0;
+  std::int64_t channels = 0;
+  std::int64_t kernel_h = 0;
+  std::int64_t kernel_w = 0;
+  std::int64_t words_per_pixel = 0;
+  std::vector<std::uint64_t> bits;  // [tap][word][filter]
+};
+
+/// Regroup the im2col-ordered rows of `w` (F rows of C*KH*KW bits, patch
+/// index (c*KH + ky)*KW + kx) into the conv form. Reuses out's storage.
+void pack_conv_bits(const PackedBits& w, std::int64_t channels,
+                    std::int64_t kernel_h, std::int64_t kernel_w,
+                    PackedConvBits& out);
+
 /// True when every element is exactly +1.0f or -1.0f (selects the XNOR
 /// path; binary-activation outputs always qualify).
 bool all_pm1(const Tensor& t);
@@ -71,13 +105,18 @@ void xnor_linear(const Tensor& x, const PackedBits& w, Tensor& out);
 /// y[m, out] = x · signs(w)^T for arbitrary float x (sign-accumulate).
 void sign_linear(const Tensor& x, const PackedSigns& w, Tensor& out);
 
-/// Binary convolution over a ±1 input: packed im2col (patch bits plus an
-/// in-bounds validity mask) then XNOR-popcount, writing [N, F, OH, OW].
+/// Binary convolution over a ±1 input: channel-packed XNOR-popcount over
+/// the conv-form weights, writing [N, F, OH, OW].
+void xnor_conv2d(const Tensor& x, const Conv2dGeometry& g,
+                 const PackedConvBits& w, Tensor& out);
+
+/// The same convolution from im2col-ordered weight rows: regroups `w` into
+/// the conv form (per-thread scratch) and runs the kernel above.
 void xnor_conv2d(const Tensor& x, const Conv2dGeometry& g, const PackedBits& w,
                  Tensor& out);
 
-/// Binary convolution over a float input: direct sign-accumulate in im2col
-/// patch order (c, ky, kx), skipping padded positions.
+/// Binary convolution over a float input: register-tiled sign-accumulate
+/// over a zero-padded copy of the input, taps in im2col order (c, ky, kx).
 void sign_conv2d(const Tensor& x, const Conv2dGeometry& g,
                  const PackedSigns& w, Tensor& out);
 

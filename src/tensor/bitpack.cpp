@@ -15,11 +15,18 @@ std::vector<std::uint8_t> pack_signs(const Tensor& t) {
   std::vector<std::uint8_t> bytes(static_cast<std::size_t>(packed_size_bytes(n)),
                                   0);
   const float* p = t.data();
-  for (std::int64_t i = 0; i < n; ++i) {
-    if (p[i] >= 0.0f) {
-      bytes[static_cast<std::size_t>(i / 8)] |=
-          static_cast<std::uint8_t>(1u << (i % 8));
+  std::uint8_t* out = bytes.data();
+  // Whole words first, stored as four LSB-first bytes (byte k holds bits
+  // 8k..8k+7, whatever the host's endianness).
+  std::int64_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    const std::uint32_t word = sign_bits32(p + i);
+    for (int k = 0; k < 4; ++k) {
+      out[i / 8 + k] = static_cast<std::uint8_t>(word >> (8 * k));
     }
+  }
+  for (; i < n; ++i) {
+    out[i / 8] |= static_cast<std::uint8_t>((p[i] >= 0.0f) << (i % 8));
   }
   return bytes;
 }
@@ -33,10 +40,20 @@ Tensor unpack_signs(const std::vector<std::uint8_t>& bytes, Shape shape) {
                                          << shape.to_string());
   Tensor t(std::move(shape));
   float* p = t.data();
-  for (std::int64_t i = 0; i < n; ++i) {
-    const bool bit =
-        (bytes[static_cast<std::size_t>(i / 8)] >> (i % 8)) & 1u;
-    p[i] = bit ? 1.0f : -1.0f;
+  const std::uint8_t* in = bytes.data();
+  // Whole 32-bit words first (as in pack_signs, the width that vectorizes).
+  std::int64_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    std::uint32_t word = 0;
+    for (int k = 0; k < 4; ++k) {
+      word |= static_cast<std::uint32_t>(in[i / 8 + k]) << (8 * k);
+    }
+    for (int j = 0; j < 32; ++j) {
+      p[i + j] = (word >> j) & 1 ? 1.0f : -1.0f;
+    }
+  }
+  for (; i < n; ++i) {
+    p[i] = (in[i / 8] >> (i % 8)) & 1 ? 1.0f : -1.0f;
   }
   return t;
 }

@@ -13,6 +13,16 @@
 
 namespace ddnn {
 
+/// Sign bits of 32 consecutive floats (bit j = 1 for p[j] >= 0). 32-bit
+/// lanes let the compare-and-shift loop vectorize, which 64-bit ones do not.
+inline std::uint32_t sign_bits32(const float* p) {
+  std::uint32_t bits = 0;
+  for (int j = 0; j < 32; ++j) {
+    bits |= static_cast<std::uint32_t>(p[j] >= 0.0f) << j;
+  }
+  return bits;
+}
+
 /// Bytes needed to carry `numel` sign bits.
 std::int64_t packed_size_bytes(std::int64_t numel);
 

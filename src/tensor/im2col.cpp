@@ -44,6 +44,20 @@ void im2col_into(const Tensor& x, const Conv2dGeometry& g, Tensor& cols) {
   // parallelizes without any cross-thread accumulation. Every element is
   // written (padded positions get an explicit 0): the destination may be a
   // recycled planner arena.
+  if (g.kernel_h == 1 && g.kernel_w == 1 && g.stride == 1 && g.pad == 0) {
+    // A 1x1 unpadded window is a per-image transpose [C, H*W] -> [H*W, C].
+    const std::int64_t c = g.in_channels, hw = g.in_h * g.in_w;
+    parallel_for(0, n, 1, [&](std::int64_t b0, std::int64_t b1) {
+      for (std::int64_t b = b0; b < b1; ++b) {
+        for (std::int64_t ch = 0; ch < c; ++ch) {
+          const float* chan = px + (b * c + ch) * hw;
+          float* col = pc + b * hw * c + ch;
+          for (std::int64_t pix = 0; pix < hw; ++pix) col[pix * c] = chan[pix];
+        }
+      }
+    });
+    return;
+  }
   parallel_for(0, n, 1, [&](std::int64_t b0, std::int64_t b1) {
     for (std::int64_t b = b0; b < b1; ++b) {
       const float* img = px + b * chw;

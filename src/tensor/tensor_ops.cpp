@@ -274,8 +274,10 @@ void add_row_vector_inplace(Tensor& x, const Tensor& b) {
   DDNN_CHECK(x.ndim() == 2 && b.ndim() == 1, "add_row_vector: [m,n] + [n]");
   DDNN_CHECK(x.dim(1) == b.dim(0), "add_row_vector: width mismatch");
   const std::int64_t m = x.dim(0), n = x.dim(1);
+  float* px = x.data();
+  const float* pb = b.data();
   for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t j = 0; j < n; ++j) x.at(i, j) = x.at(i, j) + b[j];
+    for (std::int64_t j = 0; j < n; ++j) px[i * n + j] += pb[j];
   }
 }
 
@@ -310,16 +312,21 @@ void batch_norm_apply(const Tensor& x, const Tensor& gamma, const Tensor& beta,
   DDNN_CHECK(x_hat.numel() == x.numel() && out.numel() == x.numel(),
              "batch_norm_apply: output size mismatch");
 
+  const float* pv = var.data();
+  float* pis = inv_std.data();
   for (std::int64_t c = 0; c < channels; ++c) {
-    inv_std[c] = 1.0f / std::sqrt(var[c] + eps);
+    pis[c] = 1.0f / std::sqrt(pv[c] + eps);
   }
+  const float* pmean = mean.data();
+  const float* pgamma = gamma.data();
+  const float* pbeta = beta.data();
   const float* px = x.data();
   float* ph = x_hat.data();
   float* po = out.data();
   for (std::int64_t b = 0; b < batch; ++b) {
     for (std::int64_t c = 0; c < channels; ++c) {
-      const float m = mean[c], is = inv_std[c];
-      const float ga = gamma[c], be = beta[c];
+      const float m = pmean[c], is = pis[c];
+      const float ga = pgamma[c], be = pbeta[c];
       const std::int64_t base = (b * channels + c) * spatial;
       for (std::int64_t s = 0; s < spatial; ++s) {
         const float xh = (px[base + s] - m) * is;

@@ -5,9 +5,11 @@
 // cache must track every in-place parameter update.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -22,6 +24,7 @@
 #include "infer/workspace.hpp"
 #include "nn/layers.hpp"
 #include "nn/serialize.hpp"
+#include "opt/optimizer.hpp"
 #include "tensor/bitgemm.hpp"
 #include "tensor/bitpack.hpp"
 #include "tensor/im2col.hpp"
@@ -201,6 +204,39 @@ TEST(Kernels, ActivationsMatchAutogradBitwiseOnNonFiniteInput) {
   }
 }
 
+TEST(Kernels, MaxPoolMatchesAutogradBitwiseOnSpecialValues) {
+  // Signed-zero ties, NaN and infinities decide which tap a window selects;
+  // every (kernel, stride, pad) must select exactly what autograd selects.
+  // Specials stay off the border rows and columns so no window holds only
+  // NaN or -inf, which autograd::max_pool2d rejects.
+  Rng rng(17);
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(), -0.0f,
+                            0.0f};
+  for (const auto& [kernel, stride, pad] :
+       std::vector<std::tuple<std::int64_t, std::int64_t, std::int64_t>>{
+           {3, 2, 1}, {3, 1, 1}, {2, 2, 1}, {5, 2, 2}, {3, 3, 2}, {3, 2, 0},
+           {2, 1, 0}}) {
+    for (const std::int64_t w : {7, 16}) {
+      const std::int64_t h = 9;
+      Tensor x = Tensor::randn(Shape{2, 3, h, w}, rng);
+      for (std::int64_t i = 0; i < x.numel(); ++i) {
+        const std::int64_t iy = i / w % h, ix = i % w;
+        const bool border = iy == 0 || iy == h - 1 || ix == 0 || ix == w - 1;
+        if (!border && i % 3 == 0) x[i] = specials[(i / 3) % 5];
+      }
+      nn::MaxPool2d pool(kernel, stride, pad);
+      autograd::NoGradGuard no_grad;
+      SCOPED_TRACE(::testing::Message() << "kernel=" << kernel << " stride="
+                                        << stride << " pad=" << pad
+                                        << " w=" << w);
+      expect_bitwise_equal(pool.infer(x, infer::tls_workspace()),
+                           pool.forward(Variable(x)).value());
+    }
+  }
+}
+
 // --------------------------------------------------- bitpack validation
 
 TEST(Bitpack, RejectsEmptyAndMismatchedInputs) {
@@ -269,6 +305,92 @@ TEST(Bitgemm, SignConv2dMatchesAutogradConvOnFloatInput) {
       autograd::conv2d(Variable(x), Variable(signs_of(wf)), Variable(), 1, 1)
           .value();
   expect_bitwise_equal(out, ref);
+}
+
+/// autograd::conv2d over sign(wf), the reference both conv kernels match.
+Tensor autograd_sign_conv(const Tensor& x, const Tensor& wf,
+                          const Conv2dGeometry& g) {
+  autograd::NoGradGuard no_grad;
+  return autograd::conv2d(Variable(x), Variable(signs_of(wf)), Variable(),
+                          g.stride, g.pad)
+      .value();
+}
+
+/// One case per shape the conv kernels branch on: channel counts spanning
+/// one to three words per pixel, widths that do not divide into a tile,
+/// stride 2, kernels 1 and 5, pads 0 and 2, batch 3. The filter count walks
+/// 1..8 so every filter-block remainder occurs.
+template <typename Fn>
+void for_each_conv_case(Fn&& fn) {
+  int index = 0;
+  for (const std::int64_t c : {1, 24, 64, 65, 130}) {
+    for (const std::int64_t in_w : {7, 33}) {
+      for (const std::int64_t stride : {1, 2}) {
+        for (const std::int64_t kernel : {1, 3, 5}) {
+          for (const std::int64_t pad : {0, 2}) {
+            const Conv2dGeometry g{.in_channels = c,
+                                   .in_h = 6,
+                                   .in_w = in_w,
+                                   .kernel_h = kernel,
+                                   .kernel_w = kernel,
+                                   .stride = stride,
+                                   .pad = pad};
+            const std::int64_t f = 1 + index++ % 8;
+            SCOPED_TRACE(::testing::Message()
+                         << "C=" << c << " in_w=" << in_w << " stride="
+                         << stride << " kernel=" << kernel << " pad=" << pad
+                         << " F=" << f);
+            fn(g, f);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Bitgemm, XnorConv2dMatchesAutogradConvAcrossShapeGrid) {
+  Rng rng(15);
+  for_each_conv_case([&](const Conv2dGeometry& g, std::int64_t f) {
+    const Tensor x =
+        signs_of(Tensor::randn(Shape{3, g.in_channels, g.in_h, g.in_w}, rng));
+    const Tensor wf =
+        Tensor::randn(Shape{f, g.in_channels, g.kernel_h, g.kernel_w}, rng);
+    const auto packed = bitgemm::pack_signs_matrix(wf.data(), f, g.patch_size());
+    bitgemm::PackedConvBits conv;
+    bitgemm::pack_conv_bits(packed.bits, g.in_channels, g.kernel_h, g.kernel_w,
+                            conv);
+    Tensor cached(Shape{3, f, g.out_h(), g.out_w()});
+    Tensor adapted(Shape{3, f, g.out_h(), g.out_w()});
+    bitgemm::xnor_conv2d(x, g, conv, cached);
+    bitgemm::xnor_conv2d(x, g, packed.bits, adapted);
+    expect_bitwise_equal(cached, autograd_sign_conv(x, wf, g));
+    expect_bitwise_equal(adapted, cached);
+  });
+}
+
+TEST(Bitgemm, SignConv2dMatchesAutogradConvAcrossShapeGridOnSpecialValues) {
+  Rng rng(16);
+  for_each_conv_case([&](const Conv2dGeometry& g, std::int64_t f) {
+    Tensor x = Tensor::rand_uniform(Shape{3, g.in_channels, g.in_h, g.in_w},
+                                    rng, -1.0f, 1.0f);
+    // Signed zeros and subnormals throughout, a few infinities: every
+    // output's sum must still round (and overflow) exactly as autograd's.
+    float* px = x.data();
+    for (std::int64_t i = 0; i < x.numel(); ++i) {
+      if (i % 5 == 0) px[i] = (i % 10 == 0) ? 0.0f : -0.0f;
+      if (i % 7 == 0) px[i] = (i % 14 == 0) ? 1e-40f : -3e-39f;
+      if (i % 211 == 0) {
+        px[i] = (i % 422 == 0) ? std::numeric_limits<float>::infinity()
+                               : -std::numeric_limits<float>::infinity();
+      }
+    }
+    const Tensor wf =
+        Tensor::randn(Shape{f, g.in_channels, g.kernel_h, g.kernel_w}, rng);
+    const auto packed = bitgemm::pack_signs_matrix(wf.data(), f, g.patch_size());
+    Tensor out(Shape{3, f, g.out_h(), g.out_w()});
+    bitgemm::sign_conv2d(x, g, packed, out);
+    expect_bitwise_equal(out, autograd_sign_conv(x, wf, g));
+  });
 }
 
 // ------------------------------------------- full-model engine parity grid
@@ -554,6 +676,82 @@ TEST(EngineParity, PackedCacheTracksLoadState) {
   const auto ref = run_engine(donor, views, all, infer::EngineKind::kAutograd);
   const auto got = run_engine(receiver, views, all, infer::EngineKind::kPlan);
   expect_outputs_bitwise_equal(ref, got);
+}
+
+TEST(EngineParity, BinaryConv2dConvFormTracksStepAndLoadState) {
+  Rng rng(41);
+  nn::BinaryConv2d conv(24, 16, 3, 1, 1, rng);
+  // A ±1 input takes the XNOR path, i.e. the cached channel-packed form.
+  const Tensor x = signs_of(Tensor::randn(Shape{1, 24, 8, 8}, rng));
+  ASSERT_TRUE(bitgemm::all_pm1(x));
+  const auto served = [&](nn::BinaryConv2d& layer) {
+    return layer.infer(x, infer::tls_workspace());
+  };
+  const auto reference = [&](nn::BinaryConv2d& layer) {
+    autograd::NoGradGuard no_grad;
+    return layer.forward(Variable(x)).value();
+  };
+  const Tensor before = served(conv);  // builds the conv form
+  expect_bitwise_equal(before, reference(conv));
+
+  // A unit-rate SGD step on a random gradient flips many weight signs.
+  for (auto& p : conv.parameters()) {
+    p.var.grad() = Tensor::randn(p.var.shape(), rng);
+  }
+  opt::Sgd sgd(conv.parameters(), 1.0f);
+  sgd.step();
+  const Tensor stepped = served(conv);
+  expect_bitwise_equal(stepped, reference(conv));
+  EXPECT_NE(0, std::memcmp(stepped.data(), before.data(),
+                           static_cast<std::size_t>(before.numel()) *
+                               sizeof(float)));
+
+  Rng donor_rng(42);
+  nn::BinaryConv2d donor(24, 16, 3, 1, 1, donor_rng);
+  const std::string path = ::testing::TempDir() + "/ddnn_conv_state.bin";
+  nn::save_state(donor, path);
+  nn::load_state(conv, path);
+  const Tensor loaded = served(conv);
+  expect_bitwise_equal(loaded, reference(donor));
+  EXPECT_NE(0, std::memcmp(loaded.data(), stepped.data(),
+                           static_cast<std::size_t>(stepped.numel()) *
+                               sizeof(float)));
+}
+
+TEST(EngineParity, PackedCacheServesConcurrentFirstUse) {
+  // Four callers race to rebuild the cache after each version bump; the
+  // batch is large enough that each kernel call also fans out over the pool
+  // (ThreadSanitizer runs this with DDNN_THREADS=4).
+  Rng rng(43);
+  nn::BinaryConv2d conv(24, 16, 3, 1, 1, rng);
+  const Tensor pm1 = signs_of(Tensor::randn(Shape{4, 24, 16, 16}, rng));
+  const Tensor real = Tensor::randn(Shape{4, 24, 16, 16}, rng);
+  Tensor pm1_ref, real_ref;
+  {
+    autograd::NoGradGuard no_grad;
+    pm1_ref = conv.forward(Variable(pm1)).value();
+    real_ref = conv.forward(Variable(real)).value();
+  }
+  for (int round = 0; round < 6; ++round) {
+    conv.parameters()[0].var.bump_version();
+    std::vector<Tensor> outs(8);
+    std::vector<std::thread> callers;
+    std::atomic<int> waiting{4};
+    for (std::size_t i = 0; i < outs.size(); i += 2) {
+      callers.emplace_back([&, i] {
+        // Start together, so the first calls overlap.
+        waiting.fetch_sub(1);
+        while (waiting.load() > 0) std::this_thread::yield();
+        outs[i] = conv.infer(pm1, infer::tls_workspace());
+        outs[i + 1] = conv.infer(real, infer::tls_workspace());
+      });
+    }
+    for (auto& t : callers) t.join();
+    for (std::size_t i = 0; i < outs.size(); i += 2) {
+      expect_bitwise_equal(outs[i], pm1_ref);
+      expect_bitwise_equal(outs[i + 1], real_ref);
+    }
+  }
 }
 
 }  // namespace

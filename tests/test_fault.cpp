@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "dist/fault.hpp"
 #include "dist/message.hpp"
@@ -53,6 +56,46 @@ TEST(Codec, BinaryFeatureMapRejectsNearlyBinaryValues) {
   EXPECT_THROW(encode_binary_feature_map(
                    Tensor::from_vector(Shape{2}, {0.9999999f, -1.0f})),
                Error);
+}
+
+TEST(Codec, BinaryFeatureMapGoldenWireBytes) {
+  // 105 values: three whole 32-bit words plus a 9-bit tail. Bit i of byte
+  // i/8 is 1 for +1, LSB first; the tail's unused bits are zero.
+  Tensor t(Shape{1, 3, 5, 7});
+  for (std::int64_t i = 0; i < t.numel(); ++i) {
+    t.data()[i] = (i * 7 + i / 3) % 5 < 2 ? 1.0f : -1.0f;
+  }
+  const std::vector<std::uint8_t> golden{0xa1, 0xaa, 0x50, 0x55, 0xa8,
+                                         0x2a, 0x54, 0x15, 0xaa, 0x0a,
+                                         0x55, 0x85, 0xaa, 0x00};
+  const Message msg = encode_binary_feature_map(t);
+  EXPECT_EQ(msg.payload, golden);
+  const Tensor back = decode_binary_feature_map(msg, t.shape());
+  EXPECT_TRUE(back.allclose(t, 0.0f));
+}
+
+TEST(Codec, BinaryFeatureMapRejectionNamesFirstBadIndex) {
+  // Bad values past the first element, both inside a whole scan block and
+  // in the tail; the message must name the offending index.
+  for (const float bad : {0.0f, std::numeric_limits<float>::quiet_NaN(),
+                          2.0f}) {
+    for (const std::int64_t index : {70, 300, 511}) {
+      Tensor t(Shape{512});
+      for (std::int64_t i = 0; i < t.numel(); ++i) {
+        t.data()[i] = i % 2 == 0 ? 1.0f : -1.0f;
+      }
+      t.data()[index] = bad;
+      try {
+        encode_binary_feature_map(t);
+        ADD_FAILURE() << "accepted " << bad << " at index " << index;
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "not binarized at index " + std::to_string(index) + ":"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 TEST(Codec, BinaryDecoderRejectsWrongPayloadSize) {
