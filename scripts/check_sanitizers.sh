@@ -4,9 +4,11 @@
 # them with halt-on-error semantics. Catches memory errors and UB that the
 # optimized tier-1 build would silently tolerate — especially in the
 # fault-injection paths, which exercise drop/retry/degraded routes the happy
-# path never takes. A second, ThreadSanitizer build runs test_engine with a
-# four-thread pool: the threaded kernels, their per-thread scratch and the
-# double-checked packed-weight cache.
+# path never takes. A second, ThreadSanitizer build runs test_engine,
+# test_obs and test_timeseries with a four-thread pool: the threaded
+# kernels, their per-thread scratch and the double-checked packed-weight
+# cache; the counter, histogram and HDR shard merges across pool workers and
+# the exemplar CAS; and concurrent ledger appenders.
 #
 # Usage: check_sanitizers.sh <source-dir> [build-dir] [tsan-build-dir]
 set -euo pipefail
@@ -45,8 +47,11 @@ DDNN_POISON=1 "${build}/tests/test_engine" --gtest_brief=1 \
 cmake -S "${src}" -B "${tsan_build}" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" >/dev/null
-cmake --build "${tsan_build}" -j --target test_engine >/dev/null
-echo "== tsan: DDNN_THREADS=4 test_engine"
-TSAN_OPTIONS="halt_on_error=1" DDNN_THREADS=4 \
-  "${tsan_build}/tests/test_engine" --gtest_brief=1
+cmake --build "${tsan_build}" -j --target test_engine test_obs \
+  test_timeseries >/dev/null
+for bin in test_engine test_obs test_timeseries; do
+  echo "== tsan: DDNN_THREADS=4 ${bin}"
+  TSAN_OPTIONS="halt_on_error=1" DDNN_THREADS=4 \
+    "${tsan_build}/tests/${bin}" --gtest_brief=1
+done
 echo "sanitizer smoke passed (ASan+UBSan and TSan clean)"

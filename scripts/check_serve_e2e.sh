@@ -18,7 +18,9 @@
 #   * every role writes --trace-out/--metrics-out; `ddnn trace-merge`
 #     stitches the per-role files into one timeline (byte-identical across
 #     re-merges) whose per-sample span tree must match the simulator
-#     oracle's (check_trace.py --served --oracle), healthy AND degraded;
+#     oracle's (check_trace.py --served --oracle), healthy AND degraded,
+#     and whose sample spans the driver's HDR latency histogram and its
+#     exemplars resolve to;
 #   * `ddnn top` polls the cloud's Stats channel throughout the healthy
 #     round; its final snapshot must be byte-identical to the registry the
 #     cloud writes at exit (the poll is side-effect-free by contract);
@@ -70,6 +72,18 @@ obs_flags() {
   if [ "${trace_mode}" = 1 ]; then
     echo "--trace-out ${work}/$1_trace.json --metrics-out ${work}/$1_metrics.json"
   fi
+}
+
+# The driver's export carries the simulator's three sample histograms;
+# check_trace.py --served reconciles the HDR one against the sample spans.
+require_driver_histograms() {
+  for name in runtime.sample_latency_ms runtime.hdr_latency_ms \
+    runtime.sample_bytes; do
+    grep -q "\"name\": \"${name}\"" "$1" || {
+      echo "error: $1 lacks ${name}" >&2
+      exit 1
+    }
+  done
 }
 
 sim_trace_flags=()
@@ -162,6 +176,7 @@ if [ "${trace_mode}" = 1 ]; then
   python3 "${script_dir}/check_trace.py" "${work}/merged.json" \
     "${work}/driver_metrics.json" --served \
     --oracle "${work}/sim_trace.json"
+  require_driver_histograms "${work}/driver_metrics.json"
   cmp "${work}/top.json" "${work}/cloud_metrics.json" || {
     echo "error: final ddnn top snapshot diverged from the cloud's own" \
       "--metrics-out export" >&2
@@ -220,6 +235,7 @@ if [ "${trace_mode}" = 1 ]; then
   python3 "${script_dir}/check_trace.py" "${work}/merged_outage.json" \
     "${work}/driver2_metrics.json" --served \
     --oracle "${work}/sim_outage_trace.json"
+  require_driver_histograms "${work}/driver2_metrics.json"
   echo "   degraded round: merged trace matches the outage oracle"
 fi
 

@@ -33,6 +33,13 @@ Metrics cross-checks (with metrics.json, produced by --metrics-out):
     both sides accumulate the same doubles in the same order)
   * per-exit span counts == runtime.exit.* counters
 
+Served HDR cross-checks (with --served and metrics.json, when the export
+carries runtime.hdr_latency_ms):
+  * its count == runtime.samples == the number of sample spans
+  * its exact max == the largest sample "latency_s" arg, in ms
+  * every exemplar (p99/p999/max) names a sample span by sample_index whose
+    "trace_id" arg equals the exemplar's trace id
+
 Series cross-checks (with --series, produced by --series-out): every
 windowed-series column whose name exactly matches a counter in the metrics
 export must sum over all windows to that counter's final value — exact
@@ -254,6 +261,36 @@ def check_metrics(samples, metrics):
                  f"{m['value']}")
 
 
+def check_served_hdr(samples, metrics):
+    """The driver's HDR latency histogram partitions the sample spans, and
+    its exemplars resolve to them by (sample_index, trace_id)."""
+    by_name = {m["name"]: m for m in metrics.get("metrics", [])}
+    hdr = by_name.get("runtime.hdr_latency_ms")
+    if hdr is None:
+        return False
+    if hdr["count"] != by_name["runtime.samples"]["value"] or \
+            hdr["count"] != len(samples):
+        fail(f"runtime.hdr_latency_ms counted {hdr['count']} samples vs "
+             f"runtime.samples {by_name['runtime.samples']['value']} and "
+             f"{len(samples)} sample spans")
+    max_ms = max(s["args"]["latency_s"] for s in samples) * 1e3
+    if hdr["max"] != max_ms:
+        fail(f"runtime.hdr_latency_ms max {hdr['max']!r} != largest sample "
+             f"span latency {max_ms!r} ms")
+    trace_ids = {s["args"]["sample_index"]: s["args"].get("trace_id")
+                 for s in samples}
+    for which in ("p99", "p999", "max"):
+        idx = hdr[f"{which}_sample"]
+        tid = hdr[f"{which}_trace_id"]
+        if idx not in trace_ids:
+            fail(f"runtime.hdr_latency_ms {which} exemplar names sample "
+                 f"{idx}, which has no sample span")
+        if trace_ids[idx] != tid:
+            fail(f"runtime.hdr_latency_ms {which} exemplar trace id {tid} "
+                 f"!= sample {idx}'s trace_id {trace_ids[idx]}")
+    return True
+
+
 # Series column families whose registry metric is registered under a
 # different name. The runtime series predates the registry histogram and
 # kept its shorter column name for dashboard stability.
@@ -364,6 +401,8 @@ def main():
         metrics = load(argv[1])
         check_metrics(samples, metrics)
         notes.append("metrics cross-check passed")
+        if served and check_served_hdr(samples, metrics):
+            notes.append("served HDR exemplars resolved")
         if series_path:
             n = check_series(series_path, metrics)
             notes.append(f"{n} series columns reconciled")

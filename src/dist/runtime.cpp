@@ -1,6 +1,7 @@
 #include "dist/runtime.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "autograd/grad_mode.hpp"
 #include "core/entropy.hpp"
@@ -60,6 +61,13 @@ HierarchyRuntime::HierarchyRuntime(core::DdnnModel& model,
                                      config_.edge_link);
     }
   }
+  std::vector<const Link*> links;
+  for (const auto* group : {&dev_gateway_links_, &dev_uplink_links_,
+                            &edge_coord_links_, &edge_cloud_links_,
+                            &dev_cloud_links_}) {
+    for (const Link& link : *group) links.push_back(&link);
+  }
+  book_ = RunBook(model_.exit_names(), devices_.size(), std::move(links));
   reset_metrics();
 }
 
@@ -99,10 +107,7 @@ void HierarchyRuntime::set_transport(Transport* transport) {
 }
 
 void HierarchyRuntime::reset_metrics() {
-  metrics_ = {};
-  metrics_.exit_counts.assign(
-      static_cast<std::size_t>(model_.config().num_exits()), 0);
-  metrics_.device_bytes.assign(devices_.size(), 0);
+  book_.reset();
   for (auto& l : dev_gateway_links_) l.reset_stats();
   for (auto& l : dev_uplink_links_) l.reset_stats();
   for (auto& l : edge_coord_links_) l.reset_stats();
@@ -128,88 +133,157 @@ void HierarchyRuntime::set_tracer(obs::SpanTracer* tracer) {
   tracer_->set_track_name(cloud_track(), "cloud");
 }
 
-void HierarchyRuntime::bind_metrics(obs::MetricsRegistry* registry) {
-  bound_ = {};
-  bound_.registry = registry;
-  if (!registry) return;
-  bound_.samples = &registry->counter("runtime.samples");
-  bound_.bytes_total = &registry->counter("runtime.bytes_total");
-  bound_.correct = &registry->counter("runtime.correct");
-  bound_.retries = &registry->counter("runtime.retries");
-  bound_.drops = &registry->counter("runtime.drops");
-  bound_.timeouts = &registry->counter("runtime.timeouts");
-  bound_.degraded = &registry->counter("runtime.degraded");
-  bound_.dead = &registry->counter("runtime.dead");
-  for (const auto& name : model_.exit_names()) {
-    bound_.exits.push_back(&registry->counter("runtime.exit." + name));
-  }
-  bound_.total_latency_s = &registry->gauge("runtime.total_latency_s");
-  bound_.latency_ms =
-      &registry->histogram("runtime.sample_latency_ms", 0.0, 1000.0, 100);
-  // Tail companion to the fixed-bin histogram: microsecond resolution up to
-  // an hour of latency, with per-bucket trace exemplars.
-  bound_.hdr_latency_ms =
-      &registry->hdr_histogram("runtime.hdr_latency_ms", 1e-3, 3.6e6);
-  bound_.sample_bytes =
-      &registry->histogram("runtime.sample_bytes", 0.0, 1048576.0, 64);
-  // Per-destination reliability breakdown. The link.<name>.bytes counters
-  // share names with the bind_series() columns deliberately:
-  // scripts/check_trace.py reconciles same-named pairs exactly.
-  auto add_links = [&](const std::vector<Link>& links) {
-    for (const auto& link : links) {
-      BoundMetrics::LinkCounters c;
-      c.attempts = &registry->counter("link." + link.name() + ".attempts");
-      c.retries = &registry->counter("link." + link.name() + ".retries");
-      c.timeouts = &registry->counter("link." + link.name() + ".timeouts");
-      c.bytes = &registry->counter("link." + link.name() + ".bytes");
-      bound_.links[&link] = c;
-    }
-  };
-  add_links(dev_gateway_links_);
-  add_links(dev_uplink_links_);
-  add_links(edge_coord_links_);
-  add_links(edge_cloud_links_);
-  add_links(dev_cloud_links_);
+namespace {
+
+/// Counter slot names, shared by the registry and the series so that
+/// scripts/check_trace.py --series can reconcile same-named pairs exactly.
+constexpr const char* kSlotNames[] = {
+    "runtime.samples",  "runtime.bytes_total", "runtime.correct",
+    "runtime.retries",  "runtime.drops",       "runtime.timeouts",
+    "runtime.degraded", "runtime.dead"};
+constexpr const char* kHdrLatencyName = "runtime.hdr_latency_ms";
+// Microsecond resolution up to an hour of latency.
+constexpr double kHdrUnitMs = 1e-3;
+constexpr double kHdrMaxMs = 3.6e6;
+
+}  // namespace
+
+RunBook::RunBook(std::vector<std::string> exit_names,
+                 std::size_t num_devices, std::vector<const Link*> links)
+    : exit_names_(std::move(exit_names)), links_(std::move(links)) {
+  metrics_.exit_counts.assign(exit_names_.size(), 0);
+  metrics_.device_bytes.assign(num_devices, 0);
 }
 
-void HierarchyRuntime::bind_series(obs::WindowedSeries* series) {
-  series_ = {};
-  series_.series = series;
-  if (!series) return;
-  // Counter columns share their names with the bind_metrics() registry
-  // counters on purpose: scripts/check_trace.py --series matches them up and
-  // demands the window sums equal the final snapshot exactly.
-  series_.samples = series->add_counter("runtime.samples");
-  series_.bytes_total = series->add_counter("runtime.bytes_total");
-  series_.correct = series->add_counter("runtime.correct");
-  series_.retries = series->add_counter("runtime.retries");
-  series_.drops = series->add_counter("runtime.drops");
-  series_.timeouts = series->add_counter("runtime.timeouts");
-  series_.degraded = series->add_counter("runtime.degraded");
-  series_.dead = series->add_counter("runtime.dead");
-  const auto exit_names = model_.exit_names();
-  for (const auto& name : exit_names) {
-    series_.exits.push_back(series->add_counter("runtime.exit." + name));
+void RunBook::reset() {
+  RuntimeMetrics fresh;
+  fresh.exit_counts.assign(metrics_.exit_counts.size(), 0);
+  fresh.device_bytes.assign(metrics_.device_bytes.size(), 0);
+  metrics_ = std::move(fresh);
+}
+
+void RunBook::bind_metrics(obs::MetricsRegistry* registry) {
+  static_assert(std::size(kSlotNames) == kExit0, "one name per slot");
+  registry_ = registry;
+  counters_.clear();
+  link_counters_.clear();
+  if (registry == nullptr) return;
+  for (const char* name : kSlotNames) {
+    counters_.push_back(&registry->counter(name));
   }
-  for (std::size_t e = 0; e < series_.exits.size(); ++e) {
-    series->add_ratio("runtime.exit_frac." + exit_names[e], series_.exits[e],
-                      series_.samples);
+  for (const auto& name : exit_names_) {
+    counters_.push_back(&registry->counter("runtime.exit." + name));
   }
-  series->add_ratio("runtime.accuracy", series_.correct, series_.samples);
-  series_.latency_ms = series->add_histogram("runtime.latency_ms");
-  series_.hdr_latency_ms =
-      series->add_hdr("runtime.hdr_latency_ms", 1e-3, 3.6e6);
-  auto add_links = [&](const std::vector<Link>& links) {
-    for (const auto& link : links) {
-      series_.link_bytes[&link] =
-          series->add_counter("link." + link.name() + ".bytes");
+  total_latency_s_ = &registry->gauge("runtime.total_latency_s");
+  latency_ms_ =
+      &registry->histogram("runtime.sample_latency_ms", 0.0, 1000.0, 100);
+  // Tail companion to the fixed-bin histogram, with per-bucket exemplars.
+  hdr_latency_ms_ =
+      &registry->hdr_histogram(kHdrLatencyName, kHdrUnitMs, kHdrMaxMs);
+  sample_bytes_ =
+      &registry->histogram("runtime.sample_bytes", 0.0, 1048576.0, 64);
+  for (const Link* link : links_) {
+    link_counters_.push_back(LinkCounters::bind(*registry, link->name()));
+  }
+}
+
+void RunBook::bind_series(obs::WindowedSeries* series) {
+  series_ = series;
+  columns_.clear();
+  link_bytes_cols_.clear();
+  if (series == nullptr) return;
+  for (const char* name : kSlotNames) {
+    columns_.push_back(series->add_counter(name));
+  }
+  for (const auto& name : exit_names_) {
+    columns_.push_back(series->add_counter("runtime.exit." + name));
+  }
+  for (std::size_t e = 0; e < exit_names_.size(); ++e) {
+    series->add_ratio("runtime.exit_frac." + exit_names_[e],
+                      columns_[kExit0 + e], columns_[kSamples]);
+  }
+  series->add_ratio("runtime.accuracy", columns_[kCorrect],
+                    columns_[kSamples]);
+  latency_col_ = series->add_histogram("runtime.latency_ms");
+  hdr_latency_col_ = series->add_hdr(kHdrLatencyName, kHdrUnitMs, kHdrMaxMs);
+  for (const Link* link : links_) {
+    link_bytes_cols_.push_back(
+        series->add_counter("link." + link->name() + ".bytes"));
+  }
+}
+
+void RunBook::count(std::size_t slot, std::int64_t n, double t) {
+  if (n == 0) return;
+  if (registry_ != nullptr) counters_[slot]->add(n);
+  if (series_ != nullptr) {
+    series_->record(columns_[slot], t, static_cast<double>(n));
+  }
+}
+
+void RunBook::send(const Link& link, const SendResult& res,
+                   std::int64_t payload_bytes, int branch, double t,
+                   InferenceTrace& trace) {
+  const int retries = res.attempts - 1;
+  metrics_.reliability.drops += res.dropped_attempts;
+  metrics_.reliability.retries += retries;
+  trace.retries += retries;
+  if (res.delivered) {
+    trace.bytes_sent += payload_bytes;
+    if (branch >= 0) {
+      metrics_.device_bytes[static_cast<std::size_t>(branch)] += payload_bytes;
     }
-  };
-  add_links(dev_gateway_links_);
-  add_links(dev_uplink_links_);
-  add_links(edge_coord_links_);
-  add_links(edge_cloud_links_);
-  add_links(dev_cloud_links_);
+  } else {
+    ++metrics_.reliability.timeouts;
+  }
+  count(kDrops, res.dropped_attempts, t);
+  count(kRetries, retries, t);
+  count(kTimeouts, res.delivered ? 0 : 1, t);
+  if (registry_ == nullptr && series_ == nullptr) return;
+  const auto it = std::find(links_.begin(), links_.end(), &link);
+  if (it == links_.end()) return;
+  const auto l = static_cast<std::size_t>(it - links_.begin());
+  if (registry_ != nullptr) link_counters_[l].book(res, payload_bytes);
+  if (series_ != nullptr && res.delivered) {
+    series_->record(link_bytes_cols_[l], t,
+                    static_cast<double>(payload_bytes));
+  }
+}
+
+void RunBook::sample(const InferenceTrace& trace, std::int64_t label,
+                     std::int64_t sample_index, double t) {
+  const bool correct = trace.prediction == label;
+  ++metrics_.samples;
+  metrics_.total_bytes += trace.bytes_sent;
+  metrics_.total_latency_s += trace.latency_s;
+  if (correct) ++metrics_.correct;
+  if (trace.degraded) ++metrics_.reliability.degraded_exits;
+  if (trace.dead) ++metrics_.reliability.dead_samples;
+  if (trace.exit_taken >= 0) {
+    ++metrics_.exit_counts[static_cast<std::size_t>(trace.exit_taken)];
+  }
+  // Everything a sample contributes lands at its clock `t` (its sends were
+  // booked there too), so it falls in exactly one series window and the
+  // counter columns' window sums reconcile with the final snapshot.
+  count(kSamples, 1, t);
+  count(kBytesTotal, trace.bytes_sent, t);
+  count(kCorrect, correct ? 1 : 0, t);
+  count(kDegraded, trace.degraded ? 1 : 0, t);
+  count(kDead, trace.dead ? 1 : 0, t);
+  if (trace.exit_taken >= 0) {
+    count(kExit0 + static_cast<std::size_t>(trace.exit_taken), 1, t);
+  }
+  const double latency_ms = trace.latency_s * 1e3;
+  if (registry_ != nullptr) {
+    total_latency_s_->set(metrics_.total_latency_s);
+    latency_ms_->record(latency_ms);
+    hdr_latency_ms_->record(latency_ms, trace.trace_id, sample_index);
+    sample_bytes_->record(static_cast<double>(trace.bytes_sent));
+  }
+  if (series_ != nullptr) {
+    series_->record(latency_col_, t, latency_ms);
+    series_->record(hdr_latency_col_, t, latency_ms, trace.trace_id,
+                    sample_index);
+  }
 }
 
 int HierarchyRuntime::group_of(int branch) const {
@@ -224,7 +298,7 @@ int HierarchyRuntime::group_of(int branch) const {
 
 Table HierarchyRuntime::link_report() const {
   Table table({"Link", "Messages", "Dropped", "Bytes", "Bytes/sample"});
-  const std::int64_t n = metrics_.samples;
+  const std::int64_t n = book_.metrics().samples;
   auto emit = [&](const std::vector<Link>& links) {
     for (const auto& link : links) {
       // An empty metrics window has no meaningful per-sample rate; emit "-"
@@ -338,24 +412,16 @@ InferenceTrace HierarchyRuntime::classify(const data::MvmcSample& sample) {
   // Simulated-clock origin of this sample on the run timeline: samples lay
   // out sequentially, each starting where the previous one's latency ended.
   obs::SpanTracer* tr = tracer_;
-  const double base = metrics_.total_latency_s;
+  const double base = book_.metrics().total_latency_s;
 
-  // Book a finished trace into the run metrics; every return goes through
-  // here exactly once.
+  // Book a finished trace into the run accounting; every return goes
+  // through here exactly once.
   auto commit = [&](int exit_taken, std::int64_t prediction,
                     double entropy) -> InferenceTrace& {
     trace.exit_taken = exit_taken;
     trace.prediction = prediction;
     trace.entropy = entropy;
-    if (exit_taken >= 0) {
-      ++metrics_.exit_counts[static_cast<std::size_t>(exit_taken)];
-    }
-    ++metrics_.samples;
-    metrics_.total_bytes += trace.bytes_sent;
-    metrics_.total_latency_s += trace.latency_s;
-    if (trace.degraded) ++metrics_.reliability.degraded_exits;
-    if (trace.dead) ++metrics_.reliability.dead_samples;
-    if (trace.prediction == sample.label) ++metrics_.correct;
+    book_.sample(trace, sample.label, sidx, base);
     if (tr) {
       // Root span: dur_s and the latency_s/bytes args are the *exact*
       // doubles/integers booked into RuntimeMetrics, so trace consumers can
@@ -372,93 +438,18 @@ InferenceTrace HierarchyRuntime::classify(const data::MvmcSample& sample) {
           .with("degraded", trace.degraded)
           .with("dead", trace.dead);
     }
-    if (bound_.registry) {
-      bound_.samples->add(1);
-      bound_.bytes_total->add(trace.bytes_sent);
-      if (trace.prediction == sample.label) bound_.correct->add(1);
-      if (trace.degraded) bound_.degraded->add(1);
-      if (trace.dead) bound_.dead->add(1);
-      if (exit_taken >= 0) {
-        bound_.exits[static_cast<std::size_t>(exit_taken)]->add(1);
-      }
-      bound_.total_latency_s->set(metrics_.total_latency_s);
-      bound_.latency_ms->record(trace.latency_s * 1e3);
-      bound_.hdr_latency_ms->record(trace.latency_s * 1e3, trace.trace_id,
-                                    sidx);
-      bound_.sample_bytes->record(static_cast<double>(trace.bytes_sent));
-    }
-    if (series_.series) {
-      // Everything the sample contributes is recorded at its start time
-      // `base` (send() already booked its per-send columns there too), so a
-      // sample lands in exactly one window and counter-column window sums
-      // reconcile with the final metrics snapshot.
-      obs::WindowedSeries& ws = *series_.series;
-      ws.record(series_.samples, base, 1.0);
-      ws.record(series_.bytes_total, base,
-                static_cast<double>(trace.bytes_sent));
-      if (trace.prediction == sample.label) {
-        ws.record(series_.correct, base, 1.0);
-      }
-      if (trace.degraded) ws.record(series_.degraded, base, 1.0);
-      if (trace.dead) ws.record(series_.dead, base, 1.0);
-      if (exit_taken >= 0) {
-        ws.record(series_.exits[static_cast<std::size_t>(exit_taken)], base,
-                  1.0);
-      }
-      ws.record(series_.latency_ms, base, trace.latency_s * 1e3);
-      ws.record(series_.hdr_latency_ms, base, trace.latency_s * 1e3,
-                trace.trace_id, sidx);
-    }
     return trace;
   };
 
-  // Reliable send: retries/timeouts are accounted here; delivered bytes are
-  // charged to the trace and (for device senders) the per-device counters.
-  // The elapsed time joins the stage's parallel-sender critical path. The
-  // span starts at the stage's start on the sender's track (`t_off` shifts
-  // it past compute charged before the send, e.g. the edge trunk).
+  // Reliable send, booked at the sample's start time. The elapsed time
+  // joins the stage's parallel-sender critical path. The span starts at the
+  // stage's start on the sender's track (`t_off` shifts it past compute
+  // charged before the send, e.g. the edge trunk).
   auto send = [&](Link& link, const Message& msg, int branch,
                   double& stage_latency, int track, const char* span_name,
                   double t_off = 0.0) -> bool {
     const SendResult res = transport().send(link, msg, sidx);
-    metrics_.reliability.drops += res.dropped_attempts;
-    metrics_.reliability.retries += res.attempts - 1;
-    trace.retries += res.attempts - 1;
-    if (res.delivered) {
-      trace.bytes_sent += msg.payload_bytes();
-      if (branch >= 0) {
-        metrics_.device_bytes[static_cast<std::size_t>(branch)] +=
-            msg.payload_bytes();
-      }
-    } else {
-      ++metrics_.reliability.timeouts;
-    }
-    if (bound_.registry) {
-      bound_.drops->add(res.dropped_attempts);
-      bound_.retries->add(res.attempts - 1);
-      if (!res.delivered) bound_.timeouts->add(1);
-      const auto& lc = bound_.links.at(&link);
-      lc.attempts->add(res.attempts);
-      lc.retries->add(res.attempts - 1);
-      if (!res.delivered) lc.timeouts->add(1);
-      if (res.delivered) lc.bytes->add(msg.payload_bytes());
-    }
-    if (series_.series) {
-      obs::WindowedSeries& ws = *series_.series;
-      if (res.dropped_attempts > 0) {
-        ws.record(series_.drops, base,
-                  static_cast<double>(res.dropped_attempts));
-      }
-      if (res.attempts > 1) {
-        ws.record(series_.retries, base,
-                  static_cast<double>(res.attempts - 1));
-      }
-      if (!res.delivered) ws.record(series_.timeouts, base, 1.0);
-      if (res.delivered) {
-        ws.record(series_.link_bytes.at(&link), base,
-                  static_cast<double>(msg.payload_bytes()));
-      }
-    }
+    book_.send(link, res, msg.payload_bytes(), branch, base, trace);
     if (tr) {
       tr->add(span_name, "net", track, base + trace.latency_s + t_off,
               res.latency_s)
@@ -708,7 +699,7 @@ InferenceTrace HierarchyRuntime::classify(const data::MvmcSample& sample) {
 RuntimeMetrics HierarchyRuntime::run(
     const std::vector<data::MvmcSample>& samples) {
   for (const auto& s : samples) classify(s);
-  return metrics_;
+  return book_.metrics();
 }
 
 }  // namespace ddnn::dist

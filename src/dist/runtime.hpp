@@ -32,7 +32,6 @@
 // are bit-identical across repetitions and DDNN_THREADS settings.
 #pragma once
 
-#include <map>
 #include <optional>
 
 #include "core/inference.hpp"
@@ -132,6 +131,85 @@ struct RuntimeMetrics {
   }
 };
 
+/// The one writer of a run's accounting, shared by the simulator
+/// (HierarchyRuntime) and the served driver (drive_hierarchy), so both paths
+/// book the same RuntimeMetrics, registry metrics and series columns. It
+/// owns the run's RuntimeMetrics window and, when bound, the registry
+/// handles and series column ids. One entry point per event:
+///   * send()   — one reliable send: retries, drops, timeouts and delivered
+///                bytes, into the trace and every bound sink;
+///   * sample() — one finished sample: exit, correct, degraded, dead, total
+///                latency, the latency and bytes histograms, and the HDR
+///                latency histogram with the sample's trace exemplar.
+/// link.<name>.* is booked only for the links the book was built with; a
+/// send on any other link books the runtime.* aggregates alone.
+///
+/// Single-writer, like the loops that call it. Links are keyed by address,
+/// so they must outlive the book and never move.
+class RunBook {
+ public:
+  RunBook() = default;
+  RunBook(std::vector<std::string> exit_names, std::size_t num_devices,
+          std::vector<const Link*> links);
+
+  /// Bind a metrics registry (not owned; null unbinds) and register, once
+  /// and in a fixed order: the runtime.* counters (samples, bytes_total,
+  /// correct, retries, drops, timeouts, degraded, dead, exit.<name>), the
+  /// runtime.total_latency_s gauge, the runtime.sample_latency_ms
+  /// histogram, the runtime.hdr_latency_ms HDR histogram, the
+  /// runtime.sample_bytes histogram, then each booked link's link.<name>.*
+  /// counters.
+  void bind_metrics(obs::MetricsRegistry* registry);
+  /// Bind a windowed series (not owned; null unbinds) and register its
+  /// columns: counters named exactly like the registry counters, per-exit
+  /// runtime.exit_frac.<name> and runtime.accuracy ratios, the
+  /// runtime.latency_ms histogram, the runtime.hdr_latency_ms tail column
+  /// and one link.<name>.bytes counter per booked link. Every event is
+  /// recorded at the clock `t` its caller passes.
+  void bind_series(obs::WindowedSeries* series);
+
+  /// Book one send of `payload_bytes` on `link` by model branch `branch`
+  /// (-1 for a non-device sender) at clock `t`.
+  void send(const Link& link, const SendResult& res,
+            std::int64_t payload_bytes, int branch, double t,
+            InferenceTrace& trace);
+  /// Book one finished sample (exit_taken, prediction, latency_s, bytes_sent
+  /// and flags already set) at clock `t`.
+  void sample(const InferenceTrace& trace, std::int64_t label,
+              std::int64_t sample_index, double t);
+
+  const RuntimeMetrics& metrics() const { return metrics_; }
+  /// Zero the RuntimeMetrics window; bound sinks keep accumulating.
+  void reset();
+
+ private:
+  /// Counter slots booked into both sinks; exit e is slot kExit0 + e.
+  enum Slot : std::size_t {
+    kSamples, kBytesTotal, kCorrect, kRetries, kDrops, kTimeouts, kDegraded,
+    kDead, kExit0
+  };
+  /// Add `n` to counter slot `slot` in every bound sink (series at `t`).
+  void count(std::size_t slot, std::int64_t n, double t);
+
+  std::vector<std::string> exit_names_;
+  std::vector<const Link*> links_;
+  RuntimeMetrics metrics_;
+
+  obs::MetricsRegistry* registry_ = nullptr;
+  std::vector<obs::Counter*> counters_;  // by slot
+  obs::Gauge* total_latency_s_ = nullptr;
+  obs::Histogram* latency_ms_ = nullptr;
+  obs::HdrHistogram* hdr_latency_ms_ = nullptr;
+  obs::Histogram* sample_bytes_ = nullptr;
+  std::vector<LinkCounters> link_counters_;  // parallel to links_
+
+  obs::WindowedSeries* series_ = nullptr;
+  std::vector<int> columns_;  // by slot
+  int latency_col_ = -1;
+  int hdr_latency_col_ = -1;
+  std::vector<int> link_bytes_cols_;  // parallel to links_
+};
+
 class HierarchyRuntime {
  public:
   /// `thresholds`: one normalized-entropy threshold per non-final exit.
@@ -139,6 +217,9 @@ class HierarchyRuntime {
   /// core::train_ddnn).
   HierarchyRuntime(core::DdnnModel& model, std::vector<double> thresholds,
                    std::vector<int> device_map, RuntimeConfig config = {});
+  // The book keys its links by address: the runtime stays where it is built.
+  HierarchyRuntime(const HierarchyRuntime&) = delete;
+  HierarchyRuntime& operator=(const HierarchyRuntime&) = delete;
 
   /// Mark a device (by model branch index) failed/healthy.
   void set_device_failed(int branch, bool failed);
@@ -172,7 +253,7 @@ class HierarchyRuntime {
   /// Classify a whole sample set (convenience; updates metrics).
   RuntimeMetrics run(const std::vector<data::MvmcSample>& samples);
 
-  const RuntimeMetrics& metrics() const { return metrics_; }
+  const RuntimeMetrics& metrics() const { return book_.metrics(); }
 
   /// Clear metrics and link stats, and rewind the fault timeline to sample
   /// index 0 — so repeated runs of the same sample set under the same plan
@@ -189,25 +270,21 @@ class HierarchyRuntime {
   /// Track names for the hierarchy are registered on attach.
   void set_tracer(obs::SpanTracer* tracer);
 
-  /// Bind a metrics registry (not owned; null unbinds). classify() then
-  /// records runtime.* counters (samples, bytes_total, correct, retries,
-  /// drops, timeouts, degraded, dead, exit.<name>), the
-  /// runtime.total_latency_s gauge and the sample latency/bytes histograms
-  /// into it. Registration happens here (once), so the export order is
-  /// stable no matter which path the first sample takes.
-  void bind_metrics(obs::MetricsRegistry* registry);
+  /// Bind a metrics registry (not owned; null unbinds). The runtime's
+  /// RunBook registers every runtime.* metric and the link.<name>.* counters
+  /// of every hierarchy link here, once, so the export order is stable no
+  /// matter which path the first sample takes; classify() then books each
+  /// send and sample into it (see RunBook::bind_metrics for the names).
+  void bind_metrics(obs::MetricsRegistry* registry) {
+    book_.bind_metrics(registry);
+  }
 
-  /// Bind a windowed series (not owned; null unbinds). The runtime registers
-  /// its columns — counters named exactly like the bind_metrics() registry
-  /// counters (runtime.samples, runtime.bytes_total, runtime.correct,
-  /// runtime.retries, runtime.drops, runtime.timeouts, runtime.degraded,
-  /// runtime.dead, runtime.exit.<name>), per-exit runtime.exit_frac.<name>
-  /// and runtime.accuracy ratios, a runtime.latency_ms histogram, and one
-  /// link.<name>.bytes counter per link — and records every sample at its
-  /// simulated start time (the same clock origin the tracer uses), so window
-  /// sums of the counter columns reconcile exactly with the final metrics
-  /// snapshot (scripts/check_trace.py --series).
-  void bind_series(obs::WindowedSeries* series);
+  /// Bind a windowed series (not owned; null unbinds). The RunBook registers
+  /// its columns — counters named exactly like the registry counters, so
+  /// window sums reconcile exactly with the final metrics snapshot
+  /// (scripts/check_trace.py --series) — and classify() records every
+  /// sample at its simulated start time, the clock origin the tracer uses.
+  void bind_series(obs::WindowedSeries* series) { book_.bind_series(series); }
 
   /// Per-link traffic table (link, messages, bytes, bytes/sample) over the
   /// metrics window — the bytes-crossing-every-boundary view of a run.
@@ -251,7 +328,7 @@ class HierarchyRuntime {
   // Device -> cloud fallback links (edge configurations only).
   std::vector<Link> dev_cloud_links_;
 
-  RuntimeMetrics metrics_;
+  RunBook book_;  // books every link above, by address
   std::optional<FaultInjector> injector_;
   std::int64_t sample_index_ = 0;  // fault-timeline clock
 
@@ -260,53 +337,6 @@ class HierarchyRuntime {
   Transport* transport_ = nullptr;  // not owned; null = sim_transport_
 
   obs::SpanTracer* tracer_ = nullptr;  // not owned
-  /// Pre-registered metric handles (all null when no registry is bound).
-  struct BoundMetrics {
-    obs::MetricsRegistry* registry = nullptr;
-    obs::Counter* samples = nullptr;
-    obs::Counter* bytes_total = nullptr;
-    obs::Counter* correct = nullptr;
-    obs::Counter* retries = nullptr;
-    obs::Counter* drops = nullptr;
-    obs::Counter* timeouts = nullptr;
-    obs::Counter* degraded = nullptr;
-    obs::Counter* dead = nullptr;
-    std::vector<obs::Counter*> exits;  // parallel to exit_names()
-    obs::Gauge* total_latency_s = nullptr;
-    obs::Histogram* latency_ms = nullptr;
-    obs::HdrHistogram* hdr_latency_ms = nullptr;
-    obs::Histogram* sample_bytes = nullptr;
-    /// Per-destination reliability counters (link.<name>.attempts/retries/
-    /// timeouts/bytes), so `ddnn report` can break retries down by link on
-    /// any transport. Keyed by Link address (link vectors never grow).
-    struct LinkCounters {
-      obs::Counter* attempts = nullptr;
-      obs::Counter* retries = nullptr;
-      obs::Counter* timeouts = nullptr;
-      obs::Counter* bytes = nullptr;
-    };
-    std::map<const Link*, LinkCounters> links;
-  };
-  BoundMetrics bound_;
-  /// Pre-registered series column ids (series_ null when unbound). Link
-  /// column lookup is by Link address — the link vectors never grow after
-  /// construction.
-  struct BoundSeries {
-    obs::WindowedSeries* series = nullptr;
-    int samples = -1;
-    int bytes_total = -1;
-    int correct = -1;
-    int retries = -1;
-    int drops = -1;
-    int timeouts = -1;
-    int degraded = -1;
-    int dead = -1;
-    std::vector<int> exits;       // parallel to exit_names()
-    int latency_ms = -1;          // histogram
-    int hdr_latency_ms = -1;      // hdr tail column (.n/.p99/.p999/.max)
-    std::map<const Link*, int> link_bytes;
-  };
-  BoundSeries series_;
 
   // Trace track layout: 0 = samples, then devices, gateway, edges,
   // edge-exit coordinator, cloud.

@@ -702,65 +702,6 @@ int serve_edge(core::DdnnModel& model, const ServeOptions& opts) {
 
 // ----------------------------------------------------------------- driver
 
-namespace {
-
-/// Driver-side registry handles (mirrors HierarchyRuntime::bind_metrics so
-/// `ddnn report` and scripts/check_trace.py read the served path with the
-/// same names). Only the colocated gateway links are booked here; socket
-/// links are booked — and registered eagerly — by
-/// SocketTransport::bind_metrics.
-struct DriverMetrics {
-  obs::MetricsRegistry* registry = nullptr;
-  obs::Counter* samples = nullptr;
-  obs::Counter* bytes_total = nullptr;
-  obs::Counter* correct = nullptr;
-  obs::Counter* retries = nullptr;
-  obs::Counter* drops = nullptr;
-  obs::Counter* timeouts = nullptr;
-  obs::Counter* degraded = nullptr;
-  obs::Counter* dead = nullptr;
-  obs::Gauge* total_latency_s = nullptr;
-  obs::Gauge* arena_bytes = nullptr;
-  std::vector<obs::Counter*> exits;
-  struct LinkCounters {
-    obs::Counter* attempts = nullptr;
-    obs::Counter* retries = nullptr;
-    obs::Counter* timeouts = nullptr;
-    obs::Counter* bytes = nullptr;
-  };
-  std::map<const Link*, LinkCounters> links;
-
-  void bind(obs::MetricsRegistry* reg,
-            const std::vector<std::string>& exit_names,
-            const std::vector<Link*>& local_links) {
-    registry = reg;
-    if (reg == nullptr) return;
-    samples = &reg->counter("runtime.samples");
-    bytes_total = &reg->counter("runtime.bytes_total");
-    correct = &reg->counter("runtime.correct");
-    retries = &reg->counter("runtime.retries");
-    drops = &reg->counter("runtime.drops");
-    timeouts = &reg->counter("runtime.timeouts");
-    degraded = &reg->counter("runtime.degraded");
-    dead = &reg->counter("runtime.dead");
-    for (const auto& name : exit_names) {
-      exits.push_back(&reg->counter("runtime.exit." + name));
-    }
-    total_latency_s = &reg->gauge("runtime.total_latency_s");
-    arena_bytes = &reg->gauge("serve.arena_bytes");
-    for (const Link* link : local_links) {
-      LinkCounters c;
-      c.attempts = &reg->counter("link." + link->name() + ".attempts");
-      c.retries = &reg->counter("link." + link->name() + ".retries");
-      c.timeouts = &reg->counter("link." + link->name() + ".timeouts");
-      c.bytes = &reg->counter("link." + link->name() + ".bytes");
-      links[link] = c;
-    }
-  }
-};
-
-}  // namespace
-
 DriveResult drive_hierarchy(core::DdnnModel& model,
                             const std::vector<data::MvmcSample>& samples,
                             const std::vector<int>& device_map,
@@ -799,20 +740,21 @@ DriveResult drive_hierarchy(core::DdnnModel& model,
   std::optional<GatewayNode> gateway;
   if (cfg.has_local_exit) gateway.emplace(model);
 
-  // Registry layout: runtime.* and the colocated gateway links first, then
-  // the socket links in attach order — eagerly, before any traffic, so the
-  // metrics columns are identical whether or not a link ever carried a
-  // frame (a degraded run exports the same schema as a healthy one).
+  // A RunBook books the run, as in the simulator. It owns only the
+  // colocated gateway links; the transport books the socket links, as it
+  // does for the edge role, which has no book. Registry layout: runtime.*
+  // and the gateway links, serve.arena_bytes, then the socket links in
+  // attach order — eagerly, before any traffic, so the metrics columns are
+  // identical whether or not a link ever carried a frame (a degraded run
+  // exports the same schema as a healthy one).
   DriveResult result;
-  result.metrics.exit_counts.assign(
-      static_cast<std::size_t>(cfg.num_exits()), 0);
-  result.metrics.device_bytes.assign(n_dev, 0);
-  DriverMetrics dm;
-  {
-    std::vector<Link*> local;
-    for (auto& l : gw_links) local.push_back(&l);
-    dm.bind(opts.metrics, model.exit_names(), local);
-  }
+  std::vector<const Link*> local;
+  for (const Link& l : gw_links) local.push_back(&l);
+  RunBook book(model.exit_names(), n_dev, std::move(local));
+  book.bind_metrics(opts.metrics);
+  obs::Gauge* arena_bytes = opts.metrics == nullptr
+                                ? nullptr
+                                : &opts.metrics->gauge("serve.arena_bytes");
 
   // Tracer attribution: this process is pid 0 ("driver"), the reference
   // clock of the merged timeline. Spans are recorded relative to `epoch`;
@@ -948,6 +890,8 @@ DriveResult drive_hierarchy(core::DdnnModel& model,
     ctx.trace_id = trace_id_of(sidx);
     ctx.parent_span = (static_cast<std::uint64_t>(sidx) << 8) | 1ull;
 
+    trace.trace_id = ctx.trace_id;  // the HDR exemplar key
+
     // Book the finished trace (same shape as the simulator's commit).
     auto commit = [&](int exit_taken, std::int64_t prediction,
                       double entropy) {
@@ -955,16 +899,7 @@ DriveResult drive_hierarchy(core::DdnnModel& model,
       trace.prediction = prediction;
       trace.entropy = entropy;
       trace.latency_s = wall_s() - t0;
-      RuntimeMetrics& m = result.metrics;
-      if (exit_taken >= 0) {
-        ++m.exit_counts[static_cast<std::size_t>(exit_taken)];
-      }
-      ++m.samples;
-      m.total_bytes += trace.bytes_sent;
-      m.total_latency_s += trace.latency_s;
-      if (trace.degraded) ++m.reliability.degraded_exits;
-      if (trace.dead) ++m.reliability.dead_samples;
-      if (trace.prediction == sample.label) ++m.correct;
+      book.sample(trace, sample.label, sidx, t0 - run_start);
       if (tr != nullptr) {
         tr->add("sample", "sample", 0, t0 - run_start, trace.latency_s)
             .with("sample_index", sidx)
@@ -980,18 +915,8 @@ DriveResult drive_hierarchy(core::DdnnModel& model,
             .with("trace_id", static_cast<std::int64_t>(ctx.trace_id))
             .with("span_id", static_cast<std::int64_t>(ctx.parent_span));
       }
-      if (dm.registry != nullptr) {
-        dm.samples->add(1);
-        dm.bytes_total->add(trace.bytes_sent);
-        if (trace.prediction == sample.label) dm.correct->add(1);
-        if (trace.degraded) dm.degraded->add(1);
-        if (trace.dead) dm.dead->add(1);
-        if (exit_taken >= 0) {
-          dm.exits[static_cast<std::size_t>(exit_taken)]->add(1);
-        }
-        dm.total_latency_s->set(m.total_latency_s);
-        dm.arena_bytes->set(
-            static_cast<double>(infer::thread_arena_bytes()));
+      if (arena_bytes != nullptr) {
+        arena_bytes->set(static_cast<double>(infer::thread_arena_bytes()));
       }
       result.traces.push_back(trace);
     };
@@ -1005,58 +930,27 @@ DriveResult drive_hierarchy(core::DdnnModel& model,
           .with("parent_span", static_cast<std::int64_t>(ctx.parent_span));
     };
 
-    // A delivered local send (device and gateway are colocated; the frame
-    // still crosses the simulated gateway link for byte parity).
-    auto local_send = [&](Link& link, const Message& msg, int branch) {
-      link.transmit(msg);
-      trace.bytes_sent += msg.payload_bytes();
-      result.metrics.device_bytes[static_cast<std::size_t>(branch)] +=
-          msg.payload_bytes();
-      if (dm.registry != nullptr) {
-        const auto& lc = dm.links.at(&link);
-        lc.attempts->add(1);
-        lc.bytes->add(msg.payload_bytes());
-      }
-      if (tr != nullptr) {
-        child(send_span_name(msg.kind), "net", 1 + branch, wall_s(), 0.0)
-            .with("link", link.name())
-            .with("bytes", msg.payload_bytes())
-            .with("attempts", 1)
-            .with("delivered", true);
-      }
-    };
-
-    // Account one socket SendResult exactly like the simulator's send().
-    // Socket link.* counters are booked inside the transport; only the
-    // runtime aggregates and the span live here.
+    // Book one send like the simulator's send() and record its span.
     auto book_send = [&](Link& link, const Message& msg,
-                         const SendResult& res, int branch,
-                         double batch_start) {
-      result.metrics.reliability.drops += res.dropped_attempts;
-      result.metrics.reliability.retries += res.attempts - 1;
-      trace.retries += res.attempts - 1;
-      if (res.delivered) {
-        trace.bytes_sent += msg.payload_bytes();
-        if (branch >= 0) {
-          result.metrics.device_bytes[static_cast<std::size_t>(branch)] +=
-              msg.payload_bytes();
-        }
-      } else {
-        ++result.metrics.reliability.timeouts;
-      }
-      if (dm.registry != nullptr) {
-        dm.drops->add(res.dropped_attempts);
-        dm.retries->add(res.attempts - 1);
-        if (!res.delivered) dm.timeouts->add(1);
-      }
+                         const SendResult& res, int branch, double start) {
+      book.send(link, res, msg.payload_bytes(), branch, t0 - run_start,
+                trace);
       if (tr != nullptr) {
-        child(send_span_name(msg.kind), "net", 1 + branch, batch_start,
+        child(send_span_name(msg.kind), "net", 1 + branch, start,
               res.latency_s)
             .with("link", link.name())
             .with("bytes", res.delivered ? msg.payload_bytes() : 0)
             .with("attempts", res.attempts)
             .with("delivered", res.delivered);
       }
+    };
+
+    // A delivered local send: device and gateway are colocated, so it is
+    // one attempt, but the frame still crosses the simulated gateway link
+    // for byte parity.
+    auto local_send = [&](Link& link, const Message& msg, int branch) {
+      link.transmit(msg);
+      book_send(link, msg, SendResult{true, 1, 0, 0.0}, branch, wall_s());
     };
 
     // Batched uplink flush of one message per device over `links`; returns
@@ -1092,7 +986,6 @@ DriveResult drive_hierarchy(core::DdnnModel& model,
     }
 
     // --- Stage 1: local exit at the colocated gateway.
-    int exit_index = 0;
     if (cfg.has_local_exit) {
       std::vector<std::optional<Message>> scores(n_dev);
       for (std::size_t b = 0; b < n_dev; ++b) {
@@ -1112,7 +1005,6 @@ DriveResult drive_hierarchy(core::DdnnModel& model,
         commit(0, d.prediction, d.entropy);
         continue;
       }
-      exit_index = 1;
     }
 
     // --- Stage 2: escalate features over real sockets, then ask the tier
@@ -1212,6 +1104,7 @@ DriveResult drive_hierarchy(core::DdnnModel& model,
   }
   transport.post("cloud-ctl", bye);
 
+  result.metrics = book.metrics();
   if (!opts.decisions_out.empty()) {
     write_decisions_csv(opts.decisions_out, result.traces);
   }

@@ -94,6 +94,25 @@ double backoff_before_retry(const ReliabilityConfig& config, int retry_index) {
 
 }  // namespace
 
+LinkCounters LinkCounters::bind(obs::MetricsRegistry& reg,
+                                const std::string& name) {
+  const std::string base = "link." + name + ".";
+  return {&reg.counter(base + "attempts"), &reg.counter(base + "retries"),
+          &reg.counter(base + "timeouts"), &reg.counter(base + "bytes")};
+}
+
+void LinkCounters::book(const SendResult& res,
+                        std::int64_t payload_bytes) const {
+  if (attempts == nullptr) return;
+  attempts->add(res.attempts);
+  retries->add(res.attempts - 1);
+  if (res.delivered) {
+    bytes->add(payload_bytes);
+  } else {
+    timeouts->add(1);
+  }
+}
+
 // ---------------------------------------------------------- SimTransport
 
 SimTransport::SimTransport(ReliabilityConfig config)
@@ -628,7 +647,7 @@ void SocketTransport::bind_metrics(obs::MetricsRegistry* reg) {
   if (reg == nullptr) {
     breaker_trips_ = nullptr;
     channels_down_ = nullptr;
-    for (auto& [name, ch] : channels_) ch.metrics = ChannelMetrics{};
+    for (auto& [name, ch] : channels_) ch.metrics = LinkCounters{};
     return;
   }
   breaker_trips_ = &reg->counter("transport.breaker_trips");
@@ -639,11 +658,7 @@ void SocketTransport::bind_metrics(obs::MetricsRegistry* reg) {
 void SocketTransport::register_channel_metrics(const std::string& name,
                                                Channel& ch) {
   if (metrics_ == nullptr || is_control_channel(name)) return;
-  const std::string base = "link." + name + ".";
-  ch.metrics.attempts = &metrics_->counter(base + "attempts");
-  ch.metrics.retries = &metrics_->counter(base + "retries");
-  ch.metrics.timeouts = &metrics_->counter(base + "timeouts");
-  ch.metrics.bytes = &metrics_->counter(base + "bytes");
+  ch.metrics = LinkCounters::bind(*metrics_, name);
 }
 
 void SocketTransport::mark_down(Channel& ch) {
@@ -698,10 +713,7 @@ std::vector<SendResult> SocketTransport::send_batch(
     if (!usable) {
       item.link->record_drop(*item.msg);
       results[i] = SendResult{false, 1, 1, 0.0};
-      if (ch != nullptr && ch->metrics.attempts != nullptr) {
-        ch->metrics.attempts->add(1);
-        ch->metrics.timeouts->add(1);
-      }
+      if (ch != nullptr) ch->metrics.book(results[i], 0);
       continue;
     }
     frames[i] =
@@ -753,16 +765,7 @@ std::vector<SendResult> SocketTransport::send_batch(
     }
     res.delivered = delivered;
     res.latency_s = now_s() - start;
-    if (ch->metrics.attempts != nullptr) {
-      ch->metrics.attempts->add(res.attempts);
-      ch->metrics.retries->add(res.attempts - 1);
-      if (delivered) {
-        ch->metrics.bytes->add(
-            static_cast<std::int64_t>(item.msg->payload_bytes()));
-      } else {
-        ch->metrics.timeouts->add(1);
-      }
-    }
+    ch->metrics.book(res, item.msg->payload_bytes());
     results[i] = res;
   }
   return results;

@@ -44,6 +44,25 @@
 
 namespace ddnn::dist {
 
+/// Per-link reliability counters, link.<name>.{attempts,retries,timeouts,
+/// bytes}: the breakdown `ddnn report` shows by link on any transport. One
+/// helper registers them for both writers — dist::RunBook books the links
+/// it was built with, SocketTransport its socket channels (the edge role
+/// has no book). Default-constructed (all null) means unbound, and book()
+/// is then a no-op.
+struct LinkCounters {
+  obs::Counter* attempts = nullptr;
+  obs::Counter* retries = nullptr;
+  obs::Counter* timeouts = nullptr;
+  obs::Counter* bytes = nullptr;
+
+  /// Register (get-or-create) link `name`'s quartet in `reg`.
+  static LinkCounters bind(obs::MetricsRegistry& reg, const std::string& name);
+  /// Book one send: its attempts and retries, then `payload_bytes` when it
+  /// was delivered or one timeout when it was not.
+  void book(const SendResult& res, std::int64_t payload_bytes) const;
+};
+
 // ------------------------------------------------------------- interface
 
 class Transport {
@@ -339,16 +358,10 @@ class SocketTransport : public Transport {
   const ReliabilityConfig& reliability() const { return config_; }
 
  private:
-  struct ChannelMetrics {
-    obs::Counter* attempts = nullptr;
-    obs::Counter* retries = nullptr;
-    obs::Counter* timeouts = nullptr;
-    obs::Counter* bytes = nullptr;
-  };
   struct Channel {
     std::shared_ptr<FrameConn> conn;
     bool down = false;
-    ChannelMetrics metrics;
+    LinkCounters metrics;
   };
   Channel* find(const std::string& channel);
   const Channel* find(const std::string& channel) const;

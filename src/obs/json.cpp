@@ -1,6 +1,7 @@
 #include "obs/json.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -270,6 +271,15 @@ std::string json_double(double v) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
+}
+
+std::string json_number(double v) {
+  if (v == std::floor(v) && std::abs(v) < 9.0e15) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
+    return buf;
+  }
+  return json_double(v);
 }
 
 std::string json_us(double seconds) {

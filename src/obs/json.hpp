@@ -6,12 +6,14 @@
 //     tree. Object members keep file order (merging must be deterministic),
 //     and integers that fit int64 stay integers so ids like trace_id
 //     round-trip without drifting through double formatting.
-//   * emit helpers (json_escape / json_double / json_us) shared by
-//     SpanTracer::to_json and `ddnn trace-merge`, so a merged trace renders
-//     spans with exactly the bytes the per-process tracers wrote.
+//   * emit helpers (json_escape / json_double / json_number / json_us)
+//     shared by every exporter — SpanTracer::to_json, `ddnn trace-merge`,
+//     the metrics registry, series, SLO and ledger exports — so each number
+//     kind has one formatter and a merged trace renders spans with exactly
+//     the bytes the per-process tracers wrote.
 //
 // This is not a general-purpose JSON library: it parses what this repo
-// emits (trace_event files, MetricsRegistry snapshots) and throws
+// emits (trace_event files, MetricsRegistry snapshots, ledger lines) and throws
 // ddnn::Error naming the defect on anything malformed.
 #pragma once
 
@@ -59,6 +61,11 @@ std::string json_escape(const std::string& s);
 /// Deterministic %.17g rendering — the same double always produces the same
 /// bytes, and the bytes parse back to the same double.
 std::string json_double(double v);
+
+/// Counter-friendly rendering: integral values below 9e15 print as
+/// integers (so downstream checkers sum them exactly), everything else as
+/// json_double. Series cells and ledger metrics use it.
+std::string json_number(double v);
 
 /// Trace timestamps: seconds rendered as microseconds with fixed 3-decimal
 /// sub-microsecond precision.

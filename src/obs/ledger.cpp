@@ -1,11 +1,11 @@
 #include "obs/ledger.hpp"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 
+#include "obs/json.hpp"
 #include "util/error.hpp"
 #include "util/results.hpp"
 
@@ -13,198 +13,49 @@ namespace ddnn::obs {
 
 namespace {
 
-std::string fmt_metric(double v) {
-  if (v == std::floor(v) && std::abs(v) < 9.0e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-    return buf;
+/// One ledger line -> record. Shape: an object with a string "command" and
+/// optional "info" (string -> string) and "metrics" (string -> finite
+/// number) objects; anything else is rejected, naming the line.
+LedgerRecord parse_line(const std::string& line, std::size_t line_no) {
+  const auto fail = [line_no](const std::string& what) {
+    DDNN_CHECK(false, "ledger line " << line_no << ": " << what);
+  };
+  JsonValue root;
+  try {
+    root = parse_json(line);
+  } catch (const ddnn::Error& e) {
+    fail(e.what());
   }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/// Minimal strict parser for the ledger's own JSONL shape: an object with
-/// string keys mapping to strings, numbers, or one level of nested
-/// string->string / string->number objects. Not a general JSON parser.
-class LineParser {
- public:
-  LineParser(const std::string& line, std::size_t line_no)
-      : s_(line), line_no_(line_no) {}
-
-  LedgerRecord parse() {
-    LedgerRecord rec;
-    expect('{');
-    bool first = true;
-    while (peek() != '}') {
-      if (!first) expect(',');
-      first = false;
-      const std::string key = parse_string();
-      expect(':');
-      if (key == "command") {
-        rec.command = parse_string();
-      } else if (key == "info") {
-        parse_object([&rec](const std::string& k, LineParser& p) {
-          rec.info.emplace_back(k, p.parse_string());
-        });
-      } else if (key == "metrics") {
-        parse_object([&rec](const std::string& k, LineParser& p) {
-          rec.metrics.emplace_back(k, p.parse_number());
-        });
-      } else {
-        fail("unknown ledger key '" + key + "'");
+  if (!root.is_object()) fail("record is not a JSON object");
+  LedgerRecord rec;
+  const auto members = [&](const JsonValue& v, const std::string& key)
+      -> const std::vector<std::pair<std::string, JsonValue>>& {
+    if (!v.is_object()) fail("'" + key + "' is not an object");
+    return v.members;
+  };
+  for (const auto& [key, value] : root.members) {
+    if (key == "command") {
+      if (!value.is_string()) fail("command is not a string");
+      rec.command = value.s;
+    } else if (key == "info") {
+      for (const auto& [k, v] : members(value, key)) {
+        if (!v.is_string()) fail("info '" + k + "' is not a string");
+        rec.info.emplace_back(k, v.s);
       }
-    }
-    expect('}');
-    skip_ws();
-    if (i_ != s_.size()) fail("trailing content after record");
-    if (rec.command.empty()) fail("record has no command");
-    return rec;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    DDNN_CHECK(false, "ledger line " << line_no_ << ": " << what
-                                     << " (at offset " << i_ << ")");
-    std::abort();  // unreachable; DDNN_CHECK throws
-  }
-
-  void skip_ws() {
-    while (i_ < s_.size() &&
-           (s_[i_] == ' ' || s_[i_] == '\t' || s_[i_] == '\r')) {
-      ++i_;
-    }
-  }
-
-  char peek() {
-    skip_ws();
-    if (i_ >= s_.size()) fail("unexpected end of line");
-    return s_[i_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++i_;
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (i_ < s_.size() && s_[i_] != '"') {
-      char c = s_[i_++];
-      if (c == '\\') {
-        if (i_ >= s_.size()) fail("dangling escape");
-        const char e = s_[i_++];
-        switch (e) {
-          case '"':
-            c = '"';
-            break;
-          case '\\':
-            c = '\\';
-            break;
-          case 'n':
-            c = '\n';
-            break;
-          case 't':
-            c = '\t';
-            break;
-          case 'r':
-            c = '\r';
-            break;
-          case 'u': {
-            if (i_ + 4 > s_.size()) fail("truncated \\u escape");
-            unsigned code = 0;
-            for (int k = 0; k < 4; ++k) {
-              const char h = s_[i_++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') {
-                code |= static_cast<unsigned>(h - '0');
-              } else if (h >= 'a' && h <= 'f') {
-                code |= static_cast<unsigned>(h - 'a' + 10);
-              } else if (h >= 'A' && h <= 'F') {
-                code |= static_cast<unsigned>(h - 'A' + 10);
-              } else {
-                fail("bad \\u escape");
-              }
-            }
-            if (code > 0x7f) fail("non-ASCII \\u escape unsupported");
-            c = static_cast<char>(code);
-            break;
-          }
-          default:
-            fail("unsupported escape");
+    } else if (key == "metrics") {
+      for (const auto& [k, v] : members(value, key)) {
+        if (!v.is_number() || !std::isfinite(v.number())) {
+          fail("metric '" + k + "' is not a finite number");
         }
+        rec.metrics.emplace_back(k, v.number());
       }
-      out += c;
+    } else {
+      fail("unknown ledger key '" + key + "'");
     }
-    if (i_ >= s_.size()) fail("unterminated string");
-    ++i_;  // closing quote
-    return out;
   }
-
-  double parse_number() {
-    skip_ws();
-    const std::size_t start = i_;
-    while (i_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[i_])) || s_[i_] == '-' ||
-            s_[i_] == '+' || s_[i_] == '.' || s_[i_] == 'e' || s_[i_] == 'E')) {
-      ++i_;
-    }
-    if (i_ == start) fail("expected number");
-    return std::stod(s_.substr(start, i_ - start));
-  }
-
-  template <typename Fn>
-  void parse_object(Fn&& on_entry) {
-    expect('{');
-    bool first = true;
-    while (peek() != '}') {
-      if (!first) expect(',');
-      first = false;
-      const std::string key = parse_string();
-      expect(':');
-      on_entry(key, *this);
-    }
-    expect('}');
-  }
-
-  const std::string& s_;
-  std::size_t i_ = 0;
-  std::size_t line_no_;
-};
+  if (rec.command.empty()) fail("record has no command");
+  return rec;
+}
 
 }  // namespace
 
@@ -226,7 +77,7 @@ std::string to_json_line(const LedgerRecord& record) {
   os << "}, \"metrics\": {";
   for (std::size_t i = 0; i < record.metrics.size(); ++i) {
     os << (i ? ", " : "") << "\"" << json_escape(record.metrics[i].first)
-       << "\": " << fmt_metric(record.metrics[i].second);
+       << "\": " << json_number(record.metrics[i].second);
   }
   os << "}}";
   return os.str();
@@ -260,7 +111,7 @@ std::vector<LedgerRecord> read_ledger(const std::string& path) {
   while (std::getline(in, line)) {
     ++line_no;
     if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    out.push_back(LineParser(line, line_no).parse());
+    out.push_back(parse_line(line, line_no));
   }
   return out;
 }

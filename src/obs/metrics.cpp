@@ -1,26 +1,17 @@
 #include "obs/metrics.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <limits>
 #include <sstream>
 
+#include "obs/json.hpp"
 #include "util/error.hpp"
 #include "util/stats.hpp"
 
 namespace ddnn::obs {
 
 namespace {
-
-/// Deterministic double formatting for JSON export: shortest representation
-/// that round-trips (%.17g is exact for IEEE-754 doubles; printf of a given
-/// double is locale-independent here because we never set a locale).
-std::string fmt_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 void atomic_max(std::atomic<double>& target, double v) {
   double cur = target.load(std::memory_order_relaxed);
@@ -272,17 +263,17 @@ std::string MetricsRegistry::to_json() const {
         break;
       case Kind::kGauge:
         os << "\"type\": \"gauge\", \"value\": "
-           << fmt_double(e.gauge->value());
+           << json_double(e.gauge->value());
         break;
       case Kind::kHistogram: {
         const Histogram& h = *e.histogram;
         os << "\"type\": \"histogram\", \"count\": " << h.count()
-           << ", \"min\": " << fmt_double(h.min())
-           << ", \"max\": " << fmt_double(h.max());
+           << ", \"min\": " << json_double(h.min())
+           << ", \"max\": " << json_double(h.max());
         if (h.count() > 0) {
-          os << ", \"p50\": " << fmt_double(h.percentile(0.50))
-             << ", \"p90\": " << fmt_double(h.percentile(0.90))
-             << ", \"p99\": " << fmt_double(h.percentile(0.99));
+          os << ", \"p50\": " << json_double(h.percentile(0.50))
+             << ", \"p90\": " << json_double(h.percentile(0.90))
+             << ", \"p99\": " << json_double(h.percentile(0.99));
         } else {
           os << ", \"p50\": 0, \"p90\": 0, \"p99\": 0";
         }
@@ -301,14 +292,15 @@ std::string MetricsRegistry::to_json() const {
         const HdrHistogram& h = *e.hdr;
         os << "\"type\": \"hdr\", \"count\": " << h.count()
            << ", \"overflow\": " << h.overflow()
-           << ", \"rel_err\": " << fmt_double(HdrHistogram::relative_error_bound())
-           << ", \"min\": " << fmt_double(h.min())
-           << ", \"max\": " << fmt_double(h.max());
+           << ", \"rel_err\": "
+           << json_double(HdrHistogram::relative_error_bound())
+           << ", \"min\": " << json_double(h.min())
+           << ", \"max\": " << json_double(h.max());
         if (h.count() > 0) {
-          os << ", \"p50\": " << fmt_double(h.percentile(0.50))
-             << ", \"p90\": " << fmt_double(h.percentile(0.90))
-             << ", \"p99\": " << fmt_double(h.percentile(0.99))
-             << ", \"p999\": " << fmt_double(h.percentile(0.999));
+          os << ", \"p50\": " << json_double(h.percentile(0.50))
+             << ", \"p90\": " << json_double(h.percentile(0.90))
+             << ", \"p99\": " << json_double(h.percentile(0.99))
+             << ", \"p999\": " << json_double(h.percentile(0.999));
         } else {
           os << ", \"p50\": 0, \"p90\": 0, \"p99\": 0, \"p999\": 0";
         }

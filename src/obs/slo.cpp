@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 
 #include "obs/json.hpp"
@@ -11,12 +10,6 @@
 namespace ddnn::obs {
 
 namespace {
-
-std::string fmt_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 /// Burn when the error budget is zero (target == 1): any bad event is an
 /// immediate, unbounded overspend; report a large finite rate so the JSON
@@ -177,11 +170,11 @@ std::string SloEngine::to_json() const {
   for (std::size_t i = 0; i < statuses.size(); ++i) {
     const SloStatus& s = statuses[i];
     os << "    {\"name\": \"" << s.name << "\", \"tier\": \"" << s.tier
-       << "\", \"target\": " << fmt_double(s.target)
+       << "\", \"target\": " << json_double(s.target)
        << ", \"good\": " << s.good << ", \"bad\": " << s.bad
-       << ", \"ratio\": " << fmt_double(s.ratio)
-       << ", \"fast_burn\": " << fmt_double(s.fast_burn)
-       << ", \"slow_burn\": " << fmt_double(s.slow_burn) << ", \"state\": \""
+       << ", \"ratio\": " << json_double(s.ratio)
+       << ", \"fast_burn\": " << json_double(s.fast_burn)
+       << ", \"slow_burn\": " << json_double(s.slow_burn) << ", \"state\": \""
        << to_string(s.state) << "\"}"
        << (i + 1 == statuses.size() ? "" : ",") << "\n";
   }
@@ -232,9 +225,9 @@ std::string health_from_metrics(const std::string& metrics_json,
   DDNN_CHECK(metrics.is_array(), "metrics export is not an array");
 
   std::ostringstream os;
-  os << "{\n  \"slo\": {\"latency_ms\": " << fmt_double(config.latency_slo_ms)
+  os << "{\n  \"slo\": {\"latency_ms\": " << json_double(config.latency_slo_ms)
      << ", \"availability_target\": "
-     << fmt_double(config.availability_target) << "},\n  \"signals\": [\n";
+     << json_double(config.availability_target) << "},\n  \"signals\": [\n";
 
   HealthState overall = HealthState::kOk;
   std::vector<std::string> signals;
@@ -261,8 +254,8 @@ std::string health_from_metrics(const std::string& metrics_json,
     overall = worse(overall, state);
     std::ostringstream sig;
     sig << "    {\"name\": \"" << name << "\", \"kind\": \"latency\", \"n\": "
-        << n << ", \"p99\": " << fmt_double(p99)
-        << ", \"max\": " << fmt_double(m.at("max").number());
+        << n << ", \"p99\": " << json_double(p99)
+        << ", \"max\": " << json_double(m.at("max").number());
     if (const JsonValue* sample = m.find("p99_sample")) {
       sig << ", \"p99_sample\": " << sample->i
           << ", \"p99_trace_id\": " << m.at("p99_trace_id").i;
@@ -290,7 +283,7 @@ std::string health_from_metrics(const std::string& metrics_json,
 
   os << "  ],\n  \"availability\": {\"total\": " << total
      << ", \"degraded\": " << degraded << ", \"dead\": " << dead
-     << ", \"ratio\": " << fmt_double(ratio) << ", \"state\": \""
+     << ", \"ratio\": " << json_double(ratio) << ", \"state\": \""
      << to_string(avail) << "\"},\n  \"overall\": \"" << to_string(overall)
      << "\"\n}\n";
   return os.str();

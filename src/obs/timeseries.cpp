@@ -1,33 +1,14 @@
 #include "obs/timeseries.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
+#include "obs/json.hpp"
 #include "util/error.hpp"
 #include "util/stats.hpp"
 
 namespace ddnn::obs {
-
-namespace {
-
-/// Deterministic cell formatting: integral values print as integers (so
-/// counter columns sum exactly in downstream checkers), everything else as
-/// %.17g (round-trips IEEE-754 doubles byte-stably).
-std::string fmt_num(double v) {
-  if (v == std::floor(v) && std::abs(v) < 9.0e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-    return buf;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-}  // namespace
 
 WindowedSeries::WindowedSeries(double width, std::string axis)
     : width_(width), axis_(std::move(axis)) {
@@ -264,7 +245,7 @@ std::string WindowedSeries::to_csv() const {
                               static_cast<double>(w + 1) * width_};
     for (const auto& c : columns_) append_cells(cells, c, w);
     for (std::size_t i = 0; i < cells.size(); ++i) {
-      os << (i ? "," : "") << fmt_num(cells[i]);
+      os << (i ? "," : "") << json_number(cells[i]);
     }
     os << "\n";
   }
@@ -274,7 +255,7 @@ std::string WindowedSeries::to_csv() const {
 std::string WindowedSeries::to_json() const {
   std::ostringstream os;
   os << "{\n  \"axis\": \"" << axis_ << "\",\n  \"width\": "
-     << fmt_num(width_) << ",\n  \"columns\": [";
+     << json_number(width_) << ",\n  \"columns\": [";
   const auto head = header();
   for (std::size_t i = 0; i < head.size(); ++i) {
     os << (i ? ", " : "") << "\"" << head[i] << "\"";
@@ -288,7 +269,7 @@ std::string WindowedSeries::to_json() const {
     for (const auto& c : columns_) append_cells(cells, c, w);
     os << "    [";
     for (std::size_t i = 0; i < cells.size(); ++i) {
-      os << (i ? ", " : "") << fmt_num(cells[i]);
+      os << (i ? ", " : "") << json_number(cells[i]);
     }
     os << "]" << (w + 1 == windows ? "" : ",") << "\n";
   }

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <sstream>
 
 #include "autograd/grad_mode.hpp"
 #include "core/inference.hpp"
@@ -109,6 +111,165 @@ TEST(Link, LatencyIsAffineInBytes) {
   EXPECT_DOUBLE_EQ(link.latency_for(0), 0.01);
   EXPECT_DOUBLE_EQ(link.latency_for(500), 0.01 + 0.5);
   EXPECT_THROW(Link("bad", {.bandwidth_bytes_per_s = 0.0}), Error);
+}
+
+// ----------------------------------------------------------------- run book
+
+/// Column sums of a windowed series' CSV export, by column name.
+std::map<std::string, double> series_sums(const obs::WindowedSeries& series) {
+  std::istringstream csv(series.to_csv());
+  std::string line;
+  std::getline(csv, line);
+  std::vector<std::string> header;
+  std::istringstream head(line);
+  for (std::string cell; std::getline(head, cell, ',');) header.push_back(cell);
+  std::map<std::string, double> sums;
+  while (std::getline(csv, line)) {
+    std::istringstream row(line);
+    std::size_t c = 0;
+    for (std::string cell; std::getline(row, cell, ','); ++c) {
+      sums[header.at(c)] += std::stod(cell);
+    }
+  }
+  return sums;
+}
+
+TEST(RunBook, BooksMetricsRegistryAndSeriesInLockstep) {
+  const Link gateway("device0->gateway");
+  const Link uplink("device0->edge");
+  const Link stray("device1->cloud");  // not one of the book's links
+  const std::vector<std::string> exits{"local", "edge", "cloud"};
+  obs::MetricsRegistry registry;
+  obs::WindowedSeries series(0.5);
+  RunBook book(exits, 2, {&gateway, &uplink});
+  RunBook bare(exits, 2, {&gateway, &uplink});
+  book.bind_metrics(&registry);
+  book.bind_series(&series);
+
+  // Three scripted samples, played into the bound and the unbound book.
+  std::vector<InferenceTrace> traces;
+  const auto play = [&](RunBook& b) {
+    traces.assign(3, InferenceTrace{});
+    for (std::size_t i = 0; i < traces.size(); ++i) {
+      traces[i].trace_id = 100 + i;
+    }
+    // Sample 0 at t = 0: a clean send and one delivered after two drops;
+    // a correct local exit.
+    b.send(gateway, {true, 1, 0, 0.01}, 12, 0, 0.0, traces[0]);
+    b.send(gateway, {true, 3, 2, 0.05}, 12, 1, 0.0, traces[0]);
+    traces[0].exit_taken = 0;
+    traces[0].prediction = 2;
+    traces[0].latency_s = 0.3;
+    b.sample(traces[0], 2, 0, 0.0);
+    // Sample 1 at t = 0.3: an undelivered send, then a delivered retry on
+    // the unbound link; a degraded, wrong cloud exit.
+    b.send(uplink, {false, 3, 3, 0.2}, 128, 0, 0.3, traces[1]);
+    b.send(stray, {true, 2, 1, 0.1}, 128, 1, 0.3, traces[1]);
+    traces[1].exit_taken = 2;
+    traces[1].prediction = 1;
+    traces[1].latency_s = 0.4;
+    traces[1].degraded = true;
+    b.sample(traces[1], 0, 1, 0.3);
+    // Sample 2 at t = 0.7: nothing delivered, a dead sample.
+    b.send(gateway, {false, 1, 1, 0.02}, 12, 0, 0.7, traces[2]);
+    traces[2].exit_taken = -1;
+    traces[2].prediction = -1;
+    traces[2].latency_s = 0.9;
+    traces[2].degraded = traces[2].dead = true;
+    b.sample(traces[2], 4, 2, 0.7);
+  };
+  play(bare);
+  play(book);
+
+  const RuntimeMetrics& m = book.metrics();
+  EXPECT_EQ(m.samples, 3);
+  EXPECT_EQ(m.total_bytes, 152);
+  EXPECT_EQ(m.device_bytes, (std::vector<std::int64_t>{12, 140}));
+  EXPECT_EQ(m.exit_counts, (std::vector<std::int64_t>{1, 0, 1}));
+  EXPECT_EQ(m.correct, 1);
+  EXPECT_EQ(m.total_latency_s, 0.3 + 0.4 + 0.9);
+  EXPECT_EQ(m.reliability.drops, 7);
+  EXPECT_EQ(m.reliability.retries, 5);
+  EXPECT_EQ(m.reliability.timeouts, 2);
+  EXPECT_EQ(m.reliability.degraded_exits, 2);
+  EXPECT_EQ(m.reliability.dead_samples, 1);
+  EXPECT_EQ(traces[1].retries, 3);
+  EXPECT_EQ(traces[1].bytes_sent, 128);
+
+  // An unbound book keeps the identical RuntimeMetrics.
+  const RuntimeMetrics& u = bare.metrics();
+  EXPECT_EQ(u.samples, m.samples);
+  EXPECT_EQ(u.total_bytes, m.total_bytes);
+  EXPECT_EQ(u.device_bytes, m.device_bytes);
+  EXPECT_EQ(u.exit_counts, m.exit_counts);
+  EXPECT_EQ(u.correct, m.correct);
+  EXPECT_EQ(u.total_latency_s, m.total_latency_s);
+  EXPECT_EQ(u.reliability.drops, m.reliability.drops);
+  EXPECT_EQ(u.reliability.retries, m.reliability.retries);
+  EXPECT_EQ(u.reliability.timeouts, m.reliability.timeouts);
+  EXPECT_EQ(u.reliability.degraded_exits, m.reliability.degraded_exits);
+  EXPECT_EQ(u.reliability.dead_samples, m.reliability.dead_samples);
+
+  // The registry agrees exactly.
+  const auto counter = [&](const std::string& name) {
+    return registry.counter(name).value();
+  };
+  EXPECT_EQ(counter("runtime.samples"), m.samples);
+  EXPECT_EQ(counter("runtime.bytes_total"), m.total_bytes);
+  EXPECT_EQ(counter("runtime.correct"), m.correct);
+  EXPECT_EQ(counter("runtime.drops"), m.reliability.drops);
+  EXPECT_EQ(counter("runtime.retries"), m.reliability.retries);
+  EXPECT_EQ(counter("runtime.timeouts"), m.reliability.timeouts);
+  EXPECT_EQ(counter("runtime.degraded"), m.reliability.degraded_exits);
+  EXPECT_EQ(counter("runtime.dead"), m.reliability.dead_samples);
+  for (std::size_t e = 0; e < exits.size(); ++e) {
+    EXPECT_EQ(counter("runtime.exit." + exits[e]), m.exit_counts[e]);
+  }
+  EXPECT_EQ(registry.gauge("runtime.total_latency_s").value(),
+            m.total_latency_s);
+  EXPECT_EQ(registry.histogram("runtime.sample_latency_ms", 0, 1, 1).count(),
+            3);
+  EXPECT_EQ(registry.histogram("runtime.sample_bytes", 0, 1, 1).count(), 3);
+  const obs::HdrHistogram& hdr =
+      registry.hdr_histogram("runtime.hdr_latency_ms", 1, 1);
+  EXPECT_EQ(hdr.count(), 3);
+  EXPECT_EQ(hdr.max_exemplar().sample, 2);
+  EXPECT_EQ(hdr.max_exemplar().trace_id, traces[2].trace_id);
+  EXPECT_EQ(counter("link.device0->gateway.attempts"), 5);
+  EXPECT_EQ(counter("link.device0->gateway.retries"), 2);
+  EXPECT_EQ(counter("link.device0->gateway.timeouts"), 1);
+  EXPECT_EQ(counter("link.device0->gateway.bytes"), 24);
+  EXPECT_EQ(counter("link.device0->edge.attempts"), 3);
+  EXPECT_EQ(counter("link.device0->edge.timeouts"), 1);
+  EXPECT_EQ(counter("link.device0->edge.bytes"), 0);
+  for (const auto& name : registry.names()) {
+    EXPECT_EQ(name.find("device1->cloud"), std::string::npos) << name;
+  }
+
+  // Every series counter column sums to its registry twin.
+  const auto sums = series_sums(series);
+  EXPECT_EQ(series.window_count(), 2u);
+  int reconciled = 0;
+  for (const auto& [name, sum] : sums) {
+    if (name.rfind("runtime.exit_frac.", 0) == 0 ||
+        name == "runtime.accuracy" || name.find("latency_ms.") != name.npos ||
+        name == "window" || name.rfind("t_", 0) == 0) {
+      continue;
+    }
+    EXPECT_EQ(sum, static_cast<double>(counter(name))) << name;
+    ++reconciled;
+  }
+  EXPECT_EQ(reconciled, 8 + 3 + 2);  // runtime.*, exits, link bytes
+  EXPECT_EQ(sums.count("link.device1->cloud.bytes"), 0u);
+  EXPECT_EQ(sums.at("runtime.latency_ms.n"), 3.0);
+  EXPECT_EQ(sums.at("runtime.hdr_latency_ms.n"), 3.0);
+
+  // reset() opens a new RuntimeMetrics window; bound sinks keep counting.
+  book.reset();
+  EXPECT_EQ(book.metrics().samples, 0);
+  EXPECT_EQ(book.metrics().exit_counts.size(), exits.size());
+  EXPECT_EQ(book.metrics().device_bytes.size(), 2u);
+  EXPECT_EQ(counter("runtime.samples"), 3);
 }
 
 // ------------------------------------------------------------------ runtime

@@ -379,6 +379,16 @@ TEST(Ledger, ReadMissingFileIsEmptyAndMalformedLineThrows) {
     out << "not json\n";
   }
   EXPECT_THROW(read_ledger(tmp.string()), ddnn::Error);
+  // Metric values that are not finite numbers are named errors too, never
+  // a std::invalid_argument / std::out_of_range escaping the reader.
+  for (const char* value : {"-", "1e999"}) {
+    {
+      std::ofstream out(tmp);
+      out << "{\"command\": \"x\", \"info\": {}, \"metrics\": {\"m\": "
+          << value << "}}\n";
+    }
+    EXPECT_THROW(read_ledger(tmp.string()), ddnn::Error) << value;
+  }
   std::filesystem::remove(tmp);
 }
 
