@@ -176,6 +176,14 @@ DdnnModel::DdnnModel(DdnnConfig config) : config_(std::move(config)) {
   cloud_id_ = infer::next_section_id();
 }
 
+DdnnModel::~DdnnModel() {
+  std::vector<int> ids = device_trunk_ids_;
+  ids.insert(ids.end(), device_head_ids_.begin(), device_head_ids_.end());
+  ids.insert(ids.end(), edge_ids_.begin(), edge_ids_.end());
+  ids.insert(ids.end(), {local_agg_id_, edge_exit_id_, cloud_id_});
+  infer::retire_section_ids(ids);
+}
+
 DdnnOutputs DdnnModel::forward(const std::vector<Variable>& views) {
   return forward(views, std::vector<bool>(views.size(), true));
 }
@@ -432,6 +440,10 @@ IndividualModel::IndividualModel(std::int64_t input_channels,
   add_child("conv", conv_.get());
   add_child("head", head_.get());
   section_id_ = infer::next_section_id();
+}
+
+IndividualModel::~IndividualModel() {
+  infer::retire_section_ids({section_id_});
 }
 
 Variable IndividualModel::forward(const Variable& views) {

@@ -44,6 +44,9 @@ struct DdnnOutputs {
 class DdnnModel : public nn::Module {
  public:
   explicit DdnnModel(DdnnConfig config);
+  /// Retires this model's section ids: each thread frees their plan
+  /// arenas at its next plan miss.
+  ~DdnnModel() override;
 
   /// Forward with all devices healthy.
   DdnnOutputs forward(const std::vector<Variable>& views);
@@ -127,7 +130,9 @@ class DdnnModel : public nn::Module {
   std::unique_ptr<nn::Sequential> cloud_trunk_;
 
   // Process-unique plan-engine section ids (infer::next_section_id); each
-  // keys that section's memory-plan cache in the per-thread workspaces.
+  // keys that section's memory-plan cache in the per-thread workspaces and
+  // is retired by the destructor. A scalar id stays -1 when its section
+  // is absent.
   std::vector<int> device_trunk_ids_;
   std::vector<int> device_head_ids_;
   int local_agg_id_ = -1;
@@ -143,6 +148,7 @@ class IndividualModel : public nn::Module {
  public:
   IndividualModel(std::int64_t input_channels, std::int64_t input_size,
                   int filters, int num_classes, std::uint64_t init_seed);
+  ~IndividualModel() override;
 
   /// Class scores [B, C] for views [B, C_in, S, S].
   Variable forward(const Variable& views);

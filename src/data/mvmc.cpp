@@ -1,5 +1,7 @@
 #include "data/mvmc.hpp"
 
+#include <utility>
+
 #include "util/error.hpp"
 
 namespace ddnn::data {
@@ -74,7 +76,8 @@ int sample_class(const std::vector<double>& prior, Rng& rng) {
 }
 
 MvmcSample make_sample(const MvmcConfig& config,
-                       const std::vector<DeviceProfile>& profiles, Rng& rng) {
+                       const std::vector<DeviceProfile>& profiles,
+                       const Tensor& blank, Rng& rng) {
   MvmcSample sample;
   sample.label = sample_class(config.class_prior, rng);
   const auto cls = static_cast<ObjectClass>(sample.label);
@@ -104,7 +107,7 @@ MvmcSample make_sample(const MvmcConfig& config,
   for (std::size_t d = 0; d < n; ++d) {
     const DeviceProfile& p = profiles[d];
     if (!sample.present[d]) {
-      sample.views.push_back(blank_frame(config.image_size));
+      sample.views.push_back(blank);
       continue;
     }
     Canvas canvas(config.image_size);
@@ -115,7 +118,7 @@ MvmcSample make_sample(const MvmcConfig& config,
         rng.uniform(1.0 - p.brightness_jitter, 1.0 + p.brightness_jitter)));
     canvas.add_noise(rng, static_cast<float>(p.noise_sigma));
     canvas.clip();
-    sample.views.push_back(canvas.to_tensor());
+    sample.views.push_back(std::move(canvas).take());
   }
   return sample;
 }
@@ -138,18 +141,22 @@ MvmcDataset MvmcDataset::generate(const MvmcConfig& config) {
                  config.num_devices,
              "profiles size mismatch");
 
+  // Every absent view shares this one read-only frame.
+  const Tensor blank = blank_frame(config.image_size);
   Rng root(config.seed);
   // Each sample gets a forked sub-stream: inserting/removing samples or
   // changing one sample's content never perturbs the others.
   ds.train_.reserve(static_cast<std::size_t>(config.train_samples));
   for (int i = 0; i < config.train_samples; ++i) {
     Rng sub = root.fork();
-    ds.train_.push_back(make_sample(ds.config_, ds.config_.profiles, sub));
+    ds.train_.push_back(
+        make_sample(ds.config_, ds.config_.profiles, blank, sub));
   }
   ds.test_.reserve(static_cast<std::size_t>(config.test_samples));
   for (int i = 0; i < config.test_samples; ++i) {
     Rng sub = root.fork();
-    ds.test_.push_back(make_sample(ds.config_, ds.config_.profiles, sub));
+    ds.test_.push_back(
+        make_sample(ds.config_, ds.config_.profiles, blank, sub));
   }
   return ds;
 }

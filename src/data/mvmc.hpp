@@ -52,7 +52,9 @@ struct MvmcConfig {
 
 /// One synchronized multi-view sample: the same object seen by all devices.
 struct MvmcSample {
-  std::vector<Tensor> views;  // per device: [3, size, size]
+  /// Per device: [3, size, size]. Every absent view of a dataset shares
+  /// one blank frame's storage, so views are read-only.
+  std::vector<Tensor> views;
   std::vector<bool> present;  // per device: object visible in that frame?
   int label = 0;              // 0 = car, 1 = bus, 2 = person
 };

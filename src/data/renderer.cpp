@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -13,38 +15,36 @@ Canvas::Canvas(std::int64_t size)
 }
 
 void Canvas::set(std::int64_t x, std::int64_t y, const Color& c) {
-  if (x < 0 || x >= size_ || y < 0 || y >= size_) return;
-  pixels_[(0 * size_ + y) * size_ + x] = c.r;
-  pixels_[(1 * size_ + y) * size_ + x] = c.g;
-  pixels_[(2 * size_ + y) * size_ + x] = c.b;
+  fill_rect(x, y, x, y, c);
 }
 
 void Canvas::blend(std::int64_t x, std::int64_t y, const Color& c,
                    float alpha) {
   if (x < 0 || x >= size_ || y < 0 || y >= size_) return;
   const float a = std::clamp(alpha, 0.0f, 1.0f);
-  float* base = pixels_.data();
-  float* pr = base + (0 * size_ + y) * size_ + x;
-  float* pg = base + (1 * size_ + y) * size_ + x;
-  float* pb = base + (2 * size_ + y) * size_ + x;
+  const std::int64_t at = y * size_ + x;
+  float* pr = plane(0) + at;
+  float* pg = plane(1) + at;
+  float* pb = plane(2) + at;
   *pr = (1 - a) * *pr + a * c.r;
   *pg = (1 - a) * *pg + a * c.g;
   *pb = (1 - a) * *pb + a * c.b;
 }
 
-void Canvas::fill(const Color& c) {
-  for (std::int64_t y = 0; y < size_; ++y) {
-    for (std::int64_t x = 0; x < size_; ++x) set(x, y, c);
-  }
-}
+void Canvas::fill(const Color& c) { fill_rect(0, 0, size_ - 1, size_ - 1, c); }
 
 void Canvas::fill_rect(std::int64_t x0, std::int64_t y0, std::int64_t x1,
                        std::int64_t y1, const Color& c) {
-  for (std::int64_t y = std::max<std::int64_t>(y0, 0);
-       y <= std::min(y1, size_ - 1); ++y) {
-    for (std::int64_t x = std::max<std::int64_t>(x0, 0);
-         x <= std::min(x1, size_ - 1); ++x) {
-      set(x, y, c);
+  const std::int64_t xa = std::max<std::int64_t>(x0, 0);
+  const std::int64_t xb = std::min(x1, size_ - 1);
+  const std::int64_t ya = std::max<std::int64_t>(y0, 0);
+  const std::int64_t yb = std::min(y1, size_ - 1);
+  if (xa > xb || ya > yb) return;
+  const float rgb[3] = {c.r, c.g, c.b};
+  for (int ch = 0; ch < 3; ++ch) {
+    float* p = plane(ch);
+    for (std::int64_t y = ya; y <= yb; ++y) {
+      std::fill(p + y * size_ + xa, p + y * size_ + xb + 1, rgb[ch]);
     }
   }
 }
@@ -56,40 +56,60 @@ void Canvas::fill_circle(float cx, float cy, float radius, const Color& c) {
 void Canvas::fill_ellipse(float cx, float cy, float rx, float ry,
                           const Color& c) {
   if (rx <= 0.0f || ry <= 0.0f) return;
-  const auto y0 = static_cast<std::int64_t>(std::floor(cy - ry));
-  const auto y1 = static_cast<std::int64_t>(std::ceil(cy + ry));
-  const auto x0 = static_cast<std::int64_t>(std::floor(cx - rx));
-  const auto x1 = static_cast<std::int64_t>(std::ceil(cx + rx));
+  // Clip the bounding box to the canvas once: the membership test then only
+  // runs where a write can land.
+  const auto y0 = std::max<std::int64_t>(
+      static_cast<std::int64_t>(std::floor(cy - ry)), 0);
+  const auto y1 = std::min<std::int64_t>(
+      static_cast<std::int64_t>(std::ceil(cy + ry)), size_ - 1);
+  const auto x0 = std::max<std::int64_t>(
+      static_cast<std::int64_t>(std::floor(cx - rx)), 0);
+  const auto x1 = std::min<std::int64_t>(
+      static_cast<std::int64_t>(std::ceil(cx + rx)), size_ - 1);
+  float* pr = plane(0);
+  float* pg = plane(1);
+  float* pb = plane(2);
   for (std::int64_t y = y0; y <= y1; ++y) {
+    const std::int64_t row = y * size_;
     for (std::int64_t x = x0; x <= x1; ++x) {
       const float dx = (static_cast<float>(x) - cx) / rx;
       const float dy = (static_cast<float>(y) - cy) / ry;
-      if (dx * dx + dy * dy <= 1.0f) set(x, y, c);
+      if (dx * dx + dy * dy <= 1.0f) {
+        pr[row + x] = c.r;
+        pg[row + x] = c.g;
+        pb[row + x] = c.b;
+      }
     }
   }
 }
 
 void Canvas::add_noise(Rng& rng, float sigma) {
   if (sigma <= 0.0f) return;
+  const std::int64_t n = pixels_.numel();
+  static thread_local std::vector<double> noise;
+  noise.resize(static_cast<std::size_t>(n));
+  rng.normal_fill(noise.data(), noise.size(), 0.0, sigma);
   float* p = pixels_.data();
-  for (std::int64_t i = 0; i < pixels_.numel(); ++i) {
-    p[i] += static_cast<float>(rng.normal(0.0, sigma));
+  for (std::int64_t i = 0; i < n; ++i) {
+    p[i] += static_cast<float>(noise[static_cast<std::size_t>(i)]);
   }
 }
 
 void Canvas::scale_brightness(float factor) {
+  // Kept as its own pass: folded into add_noise, p * factor + noise would
+  // contract into one FMA and change the rounding of every pixel.
   float* p = pixels_.data();
-  for (std::int64_t i = 0; i < pixels_.numel(); ++i) p[i] *= factor;
+  const std::int64_t n = pixels_.numel();
+  for (std::int64_t i = 0; i < n; ++i) p[i] *= factor;
 }
 
 void Canvas::clip() {
   float* p = pixels_.data();
-  for (std::int64_t i = 0; i < pixels_.numel(); ++i) {
-    p[i] = std::clamp(p[i], 0.0f, 1.0f);
-  }
+  const std::int64_t n = pixels_.numel();
+  for (std::int64_t i = 0; i < n; ++i) p[i] = std::clamp(p[i], 0.0f, 1.0f);
 }
 
-Tensor Canvas::to_tensor() const { return pixels_.clone(); }
+Tensor Canvas::take() && { return std::move(pixels_); }
 
 namespace {
 
@@ -168,7 +188,7 @@ void render_background(Canvas& canvas, const Viewpoint& view, Rng& rng) {
     Color c{view.background.r * (1.1f - 0.4f * t),
             view.background.g * (1.1f - 0.3f * t),
             view.background.b * (1.2f - 0.5f * t)};
-    for (std::int64_t x = 0; x < size; ++x) canvas.set(x, y, c);
+    canvas.fill_rect(0, y, size - 1, y, c);
   }
   // A few random clutter blobs so the background is not trivially uniform.
   const int blobs = static_cast<int>(rng.uniform_int(2, 5));

@@ -42,10 +42,14 @@ class Canvas {
   /// Clip all values to [0, 1].
   void clip();
 
-  /// The finished image (shares no storage with the canvas).
-  Tensor to_tensor() const;
+  /// Hand the finished image over without a copy; the canvas is spent.
+  Tensor take() &&;
 
  private:
+  float* plane(int channel) {
+    return pixels_.data() + channel * size_ * size_;
+  }
+
   std::int64_t size_;
   Tensor pixels_;  // [3, size, size]
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <mutex>
 
 #include "util/error.hpp"
 
@@ -24,6 +25,11 @@ std::string section_sig(const std::vector<Tensor>& inputs,
   sig += extra;
   return sig;
 }
+
+// Append-only log of retired section ids; each workspace keeps its own read
+// position. An id costs 4 bytes here for the life of the process.
+std::mutex g_retired_mu;
+std::vector<int> g_retired;
 
 std::vector<Tensor> narrow_inputs(const std::vector<Tensor>& inputs,
                                   std::int64_t start, std::int64_t len) {
@@ -91,6 +97,29 @@ void Workspace::clear_plans() {
   slices_.clear();
 }
 
+void retire_section_ids(const std::vector<int>& ids) {
+  const std::lock_guard<std::mutex> lock(g_retired_mu);
+  for (const int id : ids) {
+    if (id >= 0) g_retired.push_back(id);
+  }
+}
+
+void Workspace::drop_retired() {
+  std::vector<int> ids;
+  {
+    const std::lock_guard<std::mutex> lock(g_retired_mu);
+    ids.assign(g_retired.begin() + static_cast<std::ptrdiff_t>(retired_seen_),
+               g_retired.end());
+    retired_seen_ = g_retired.size();
+  }
+  for (const int id : ids) {
+    const PlanKey lo{id, std::string()};
+    const PlanKey hi{id + 1, std::string()};
+    plans_.erase(plans_.lower_bound(lo), plans_.lower_bound(hi));
+    slices_.erase(slices_.lower_bound(lo), slices_.lower_bound(hi));
+  }
+}
+
 Workspace::PlanEntry& Workspace::plan_for(const SectionDesc& desc,
                                           const std::string& sig,
                                           const std::vector<Tensor>& inputs,
@@ -99,6 +128,9 @@ Workspace::PlanEntry& Workspace::plan_for(const SectionDesc& desc,
   const PlanKey key{desc.id, sig};
   const auto it = plans_.find(key);
   if (it != plans_.end()) return it->second;
+  // Only a miss reads the shared retire log, so replays take no lock; dead
+  // models' arenas are freed here.
+  drop_retired();
 
   // Record: run the body once with fresh heap tensors, logging an interval
   // per acquire. Outputs get a final note_use so nothing the caller will

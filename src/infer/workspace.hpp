@@ -17,6 +17,11 @@
 // e.g. aggregator activity masks), so alternating batch sizes each get
 // their own warm plan instead of thrashing reallocations.
 //
+// Plan lifetime: plans die with their model. Section ids are never reused;
+// a destroyed model retires its ids (retire_section_ids), and each thread's
+// workspace drops their plans, arenas and slice decisions at its next
+// record. Replays never look at the retire log.
+//
 // Kernel discipline: acquire the output FIRST, then note_use() every input
 // that may live in the workspace, then run the kernel. The planner only
 // keeps two intervals apart while their lifetimes overlap; noting an input
@@ -109,6 +114,10 @@ class Workspace {
   };
   using PlanKey = std::pair<int, std::string>;  // (section id, signature)
 
+  /// Erase the plans and slice decisions of every section id retired
+  /// since the last call (see retire_section_ids).
+  void drop_retired();
+
   PlanEntry& plan_for(const SectionDesc& desc, const std::string& sig,
                       const std::vector<Tensor>& inputs,
                       const std::function<std::vector<Tensor>(
@@ -136,6 +145,7 @@ class Workspace {
 
   std::map<PlanKey, PlanEntry> plans_;
   std::map<PlanKey, SliceDecision> slices_;
+  std::size_t retired_seen_ = 0;  // read position in the retire log
 };
 
 /// Execute one model section under the memory planner: record or replay the
@@ -157,6 +167,11 @@ std::vector<Tensor> run_section(
     const std::string& extra_sig,
     const std::function<std::vector<Tensor>(const std::vector<Tensor>&,
                                             Workspace&)>& body);
+
+/// Declare section ids dead: their model was destroyed, and ids are never
+/// reused. Each thread's workspace drops their plans, arenas and slice
+/// decisions at its next plan miss. Negative ids are ignored.
+void retire_section_ids(const std::vector<int>& ids);
 
 /// The calling thread's workspace (one arena set per thread, so
 /// batch-parallel evaluation workers never share plans or storage).

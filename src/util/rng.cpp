@@ -1,5 +1,6 @@
 #include "util/rng.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/error.hpp"
@@ -18,6 +19,28 @@ namespace {
 
 inline std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
+}
+
+/// One accepted Marsaglia polar pair: u, v uniform in [-1, 1) with
+/// 0 < s = u^2 + v^2 < 1.
+struct PolarPair {
+  double u, v, s;
+};
+
+// normal() and normal_fill() share these two helpers, so both evaluate the
+// same expressions and draw bit-identical streams.
+inline PolarPair draw_polar(Rng& rng) {
+  PolarPair p{};
+  do {
+    p.u = rng.uniform(-1.0, 1.0);
+    p.v = rng.uniform(-1.0, 1.0);
+    p.s = p.u * p.u + p.v * p.v;
+  } while (p.s >= 1.0 || p.s == 0.0);
+  return p;
+}
+
+inline double polar_scale(double s) {
+  return std::sqrt(-2.0 * std::log(s) / s);
 }
 
 }  // namespace
@@ -51,20 +74,45 @@ double Rng::normal() {
     has_cached_normal_ = false;
     return cached_normal_;
   }
-  double u = 0.0, v = 0.0, s = 0.0;
-  do {
-    u = uniform(-1.0, 1.0);
-    v = uniform(-1.0, 1.0);
-    s = u * u + v * v;
-  } while (s >= 1.0 || s == 0.0);
-  const double m = std::sqrt(-2.0 * std::log(s) / s);
-  cached_normal_ = v * m;
+  const PolarPair p = draw_polar(*this);
+  const double m = polar_scale(p.s);
+  cached_normal_ = p.v * m;
   has_cached_normal_ = true;
-  return u * m;
+  return p.u * m;
 }
 
 double Rng::normal(double mean, double stddev) {
   return mean + stddev * normal();
+}
+
+void Rng::normal_fill(double* out, std::size_t n, double mean,
+                      double stddev) {
+  std::size_t i = 0;
+  if (n > 0 && has_cached_normal_) {
+    has_cached_normal_ = false;
+    out[i++] = mean + stddev * cached_normal_;
+  }
+  // Per block: draw every accepted pair first (the rejection loop is serial
+  // in the generator state), then run the independent log/sqrt transforms,
+  // which pipeline instead of waiting on the next draw.
+  constexpr std::size_t kBlock = 128;
+  PolarPair pairs[kBlock] = {};
+  while (i < n) {
+    const std::size_t count = std::min(kBlock, (n - i + 1) / 2);
+    for (std::size_t k = 0; k < count; ++k) pairs[k] = draw_polar(*this);
+    for (std::size_t k = 0; k < count; ++k) {
+      const double m = polar_scale(pairs[k].s);
+      const double first = pairs[k].u * m;
+      const double second = pairs[k].v * m;
+      out[i++] = mean + stddev * first;
+      if (i < n) {
+        out[i++] = mean + stddev * second;
+      } else {
+        cached_normal_ = second;
+        has_cached_normal_ = true;
+      }
+    }
+  }
 }
 
 std::uint64_t Rng::uniform_index(std::uint64_t n) {

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -35,6 +36,11 @@ class Rng {
 
   /// Normal with the given mean and standard deviation.
   double normal(double mean, double stddev);
+
+  /// Fill out[0, n) with normal(mean, stddev) draws: bit-identical values
+  /// and end state to n successive calls, but the polar method's
+  /// transforms run in batches instead of one call per value.
+  void normal_fill(double* out, std::size_t n, double mean, double stddev);
 
   /// Uniform integer in [0, n). Requires n > 0.
   std::uint64_t uniform_index(std::uint64_t n);

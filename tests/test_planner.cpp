@@ -1,6 +1,7 @@
 // Memory-planner tests: interval packing (validity, bounds, exhaustive
 // optimality on small plans), record/replay arena reuse, batch slicing under
-// a hard memory budget, and the per-tier peak stats.
+// a hard memory budget, the per-tier peak stats, and plan lifetime (a
+// destroyed model's plans are freed on every thread that recorded them).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,11 +12,17 @@
 #include <string>
 #include <vector>
 
+#include "core/config.hpp"
+#include "core/inference.hpp"
+#include "core/model.hpp"
+#include "data/mvmc.hpp"
+#include "infer/engine.hpp"
 #include "infer/planner.hpp"
 #include "infer/workspace.hpp"
 #include "tensor/tensor.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ddnn {
 namespace {
@@ -329,6 +336,120 @@ TEST(Budget, ChangingTheBudgetInvalidatesCachedSliceDecisions) {
                                  sizeof(float)))
         << "rows=" << rows;
   }
+}
+
+// ---------------------------------------------------------- plan lifetime
+
+/// Pins the pool size and the plan engine for a scope.
+struct PlanEngineGuard {
+  explicit PlanEngineGuard(int threads) {
+    ThreadPool::set_size(threads);
+    infer::set_engine_kind(infer::EngineKind::kPlan);
+  }
+  ~PlanEngineGuard() {
+    infer::clear_engine_override();
+    ThreadPool::set_size(0);
+  }
+};
+
+const data::MvmcDataset& lifetime_data() {
+  static const data::MvmcDataset ds = [] {
+    data::MvmcConfig cfg;
+    cfg.train_samples = 4;
+    cfg.test_samples = 40;
+    cfg.seed = 11;
+    return data::MvmcDataset::generate(cfg);
+  }();
+  return ds;
+}
+
+const std::vector<int> kAllDevices{0, 1, 2, 3, 4, 5};
+
+core::DdnnConfig preset_e() {
+  return core::DdnnConfig::preset(core::HierarchyPreset::kDevicesEdgeCloud);
+}
+
+TEST(PlanLifetime, RetiredSectionPlansAreDroppedAtTheNextMiss) {
+  infer::Workspace ws;
+  const int dead = infer::next_section_id();
+  const int live = infer::next_section_id();
+  Rng rng(37);
+  const Tensor x = Tensor::randn(Shape{4, 8}, rng);
+  infer::run_section(ws, {infer::SectionTier::kDevice, dead, "dead"}, {x}, "",
+                     pingpong_chain);
+  infer::run_section(ws, {infer::SectionTier::kDevice, live, "live"}, {x}, "",
+                     pingpong_chain);
+  EXPECT_EQ(ws.plans(), 2u);
+
+  infer::retire_section_ids({dead, -1});
+  // Replays touch no shared state, so the dead plan survives a hit...
+  infer::run_section(ws, {infer::SectionTier::kDevice, live, "live"}, {x}, "",
+                     pingpong_chain);
+  EXPECT_EQ(ws.plans(), 2u);
+  // ...and goes at the next miss (a new shape for the live section).
+  const Tensor y = Tensor::randn(Shape{2, 8}, rng);
+  infer::run_section(ws, {infer::SectionTier::kDevice, live, "live"}, {y}, "",
+                     pingpong_chain);
+  EXPECT_EQ(ws.plans(), 2u);  // live at two shapes; dead's plan is gone
+}
+
+TEST(PlanLifetime, TenModelsInARowHoldOneModelsArenas) {
+  PlanEngineGuard engine(1);
+  infer::Workspace& ws = infer::tls_workspace();
+  ws.clear_plans();
+  std::int64_t first_bytes = 0;
+  std::size_t first_plans = 0;
+  for (int i = 0; i < 10; ++i) {
+    {
+      core::DdnnModel model(preset_e());
+      core::evaluate_exits(model, lifetime_data().test(), kAllDevices,
+                           /*batch_size=*/16);
+    }
+    if (i == 0) {
+      first_bytes = ws.arena_bytes();
+      first_plans = ws.plans();
+    }
+  }
+  EXPECT_GT(first_bytes, 0);
+  EXPECT_EQ(ws.arena_bytes(), first_bytes);
+  EXPECT_EQ(ws.plans(), first_plans);
+}
+
+TEST(PlanLifetime, PoolWorkersDropPlansOfModelsDestroyedOnTheCaller) {
+  const auto& test = lifetime_data().test();
+  // Serial reference: one model's outputs and its full plan footprint (every
+  // batch shape the pool's workers can see).
+  std::int64_t one_model_bytes = 0;
+  core::ExitEval ref;
+  {
+    PlanEngineGuard engine(1);
+    infer::tls_workspace().clear_plans();
+    core::DdnnModel model(preset_e());
+    ref = core::evaluate_exits(model, test, kAllDevices, /*batch_size=*/4);
+    one_model_bytes = infer::tls_workspace().arena_bytes();
+  }
+  ASSERT_GT(one_model_bytes, 0);
+
+  PlanEngineGuard engine(4);
+  for (int i = 0; i < 6; ++i) {
+    // Plans are recorded on the pool's workers; the model dies here, on the
+    // caller, and the next model's misses on each worker free them.
+    core::DdnnModel model(preset_e());
+    const auto got =
+        core::evaluate_exits(model, test, kAllDevices, /*batch_size=*/4);
+    for (std::size_t e = 0; e < ref.num_exits(); ++e) {
+      EXPECT_TRUE(got.exit_probs[e].allclose(ref.exit_probs[e], 0.0f))
+          << "model " << i << " exit " << e;
+    }
+  }
+  // Whatever thread runs a probe chunk holds at most one model's plans.
+  std::vector<std::int64_t> seen(64, 0);
+  parallel_for(0, 64, 1, [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t k = lo; k < hi; ++k) {
+      seen[static_cast<std::size_t>(k)] = infer::thread_arena_bytes();
+    }
+  });
+  EXPECT_LE(*std::max_element(seen.begin(), seen.end()), one_model_bytes);
 }
 
 }  // namespace

@@ -91,8 +91,17 @@ TEST(Json, RoundTripsSpanTracerOutput) {
 
 // ------------------------------------------------------------ trace merge
 
+/// A temp-dir path private to the running test. ctest runs every test as
+/// its own process, in parallel under -j, so a shared file name would let
+/// one test overwrite another's input between its two merges.
+std::string test_path(const std::string& name) {
+  return ::testing::TempDir() + "/" +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         "_" + name;
+}
+
 std::string write_trace(const std::string& name, const SpanTracer& tracer) {
-  const std::string path = ::testing::TempDir() + "/" + name;
+  const std::string path = test_path(name);
   tracer.write_json(path);
   return path;
 }
@@ -233,7 +242,7 @@ TEST(TraceMerge, EmptyTraceContributesNothing) {
 }
 
 TEST(TraceMerge, RejectsGarbageInputs) {
-  const std::string path = ::testing::TempDir() + "/merge_garbage.json";
+  const std::string path = test_path("merge_garbage.json");
   {
     std::ofstream out(path);
     out << "{\"displayTimeUnit\": \"ms\"}";  // no traceEvents
