@@ -531,11 +531,12 @@ FleetStats simulate_fleet(const std::vector<InferenceTrace>& traces,
   fill_latency_stats(latencies, stats.mean_latency_s, stats.p50_latency_s,
                      stats.p95_latency_s, stats.max_latency_s);
   if (hdr.count() > 0) {
-    stats.p99_latency_s = 1e-3 * hdr.percentile(0.99);
-    stats.p999_latency_s = 1e-3 * hdr.percentile(0.999);
-    stats.p99_exemplar = hdr.exemplar_at(0.99);
-    stats.p999_exemplar = hdr.exemplar_at(0.999);
-    stats.max_exemplar = hdr.max_exemplar();
+    const obs::HdrHistogram::View tail = hdr.view();
+    stats.p99_latency_s = 1e-3 * tail.percentile(0.99);
+    stats.p999_latency_s = 1e-3 * tail.percentile(0.999);
+    stats.p99_exemplar = tail.exemplar_at(0.99);
+    stats.p999_exemplar = tail.exemplar_at(0.999);
+    stats.max_exemplar = tail.max_exemplar();
   }
   stats.horizon_s = horizon;
   stats.throughput_hz =

@@ -5,6 +5,7 @@
 #include <limits>
 #include <vector>
 
+#include "infer/planner.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/tensor_ops.hpp"
 #include "util/error.hpp"
@@ -31,43 +32,80 @@ void rows_to_nchw_into(const Tensor& mat, std::int64_t n, std::int64_t f,
   }
 }
 
-/// Max pooling over `planes` [h, w] planes. Each output keeps
-/// autograd::max_pool2d's -inf seed and takes the `v > best` select over its
-/// in-bounds taps in (ky, kx) order, but the loop runs a whole output row per
-/// tap: the selects of neighbouring outputs are independent, so they
-/// pipeline instead of forming one latency chain per window, and column
-/// bounds are worked out once per tap instead of per tap and output.
+/// Max pooling over `planes` [h, w] planes, row first. Pass 1 writes, for
+/// every input row, the first max over each window's kx taps into `rows`
+/// [planes, h, ow]; pass 2 takes the first max of those over ky into `po`.
+/// Both folds keep autograd::max_pool2d's -inf seed and `v > best` select,
+/// and folding row maxima in ky order picks the first max in (ky, kx)
+/// raster order, so signed-zero ties, NaN and infinities select the same
+/// element (docs/ARCHITECTURE.md, "Binarization").
 void max_pool_rows(const float* px, std::int64_t planes, std::int64_t h,
                    std::int64_t w, std::int64_t kernel, std::int64_t stride,
                    std::int64_t pad, std::int64_t oh, std::int64_t ow,
-                   float* po) {
-  // Per tap column kx, the outputs [lo, hi) whose input column
-  // ox*stride - pad + kx is in bounds (worked out once: no division below).
-  std::vector<std::int64_t> ox_lo(static_cast<std::size_t>(kernel));
-  std::vector<std::int64_t> ox_hi(static_cast<std::size_t>(kernel));
-  for (std::int64_t kx = 0; kx < kernel; ++kx) {
-    std::int64_t lo = 0, hi = ow;
-    while (lo < ow && lo * stride - pad + kx < 0) ++lo;
-    while (hi > lo && (hi - 1) * stride - pad + kx >= w) --hi;
-    ox_lo[static_cast<std::size_t>(kx)] = lo;
-    ox_hi[static_cast<std::size_t>(kx)] = hi;
+                   float* rows, float* po) {
+  constexpr float kSeed = -std::numeric_limits<float>::infinity();
+  const auto take = [](float best, float v) { return v > best ? v : best; };
+  // dst[j] for j in [j0, j1) over taps src[j*step - pad + kx], which the
+  // caller keeps in bounds: one vectorizable loop per tap.
+  const auto sweep = [&](const float* src, float* dst, std::int64_t step,
+                         std::int64_t j0, std::int64_t j1) {
+    std::fill(dst + j0, dst + j1, kSeed);
+    for (std::int64_t kx = 0; kx < kernel; ++kx) {
+      const float* tap = src + kx;
+      for (std::int64_t j = j0; j < j1; ++j) {
+        dst[j] = take(dst[j], tap[j * step - pad]);
+      }
+    }
+  };
+  // Output columns [lo, hi) have every tap inside the row.
+  const std::int64_t lo = std::min(ow, (pad + stride - 1) / stride);
+  const std::int64_t hi =
+      w < kernel - pad
+          ? lo
+          : std::max(lo, std::min(ow, (w - kernel + pad) / stride + 1));
+  const std::int64_t nrows = planes * h;
+  if (stride == 2 && w == 2 * ow && lo < hi) {
+    // Output j = r*ow + ox of row r reads input r*w + 2*ox - pad + kx =
+    // 2*j - pad + kx, so every row sweeps in one flat loop with a constant
+    // step. The edge outputs between two rows' interiors read the
+    // neighbouring row; the edge pass below rewrites them.
+    sweep(px, rows, 2, lo, nrows * ow - (ow - hi));
+  } else {
+    for (std::int64_t r = 0; r < nrows; ++r) {
+      sweep(px + r * w, rows + r * ow, stride, lo, hi);
+    }
   }
+  const auto edge = [&](std::int64_t ox) {
+    const std::int64_t x0 = ox * stride - pad;
+    const std::int64_t ix0 = std::max<std::int64_t>(x0, 0);
+    const std::int64_t ix1 = std::min(x0 + kernel, w);
+    for (std::int64_t r = 0; r < nrows; ++r) {
+      const float* row = px + r * w;
+      float best = kSeed;
+      for (std::int64_t ix = ix0; ix < ix1; ++ix) best = take(best, row[ix]);
+      rows[r * ow + ox] = best;
+    }
+  };
+  for (std::int64_t ox = 0; ox < lo; ++ox) edge(ox);
+  for (std::int64_t ox = hi; ox < ow; ++ox) edge(ox);
   for (std::int64_t p = 0; p < planes; ++p) {
-    const float* plane = px + p * h * w;
+    const float* plane = rows + p * h * ow;
     for (std::int64_t oy = 0; oy < oh; ++oy) {
-      float* best = po + (p * oh + oy) * ow;
-      std::fill_n(best, ow, -std::numeric_limits<float>::infinity());
-      for (std::int64_t ky = 0; ky < kernel; ++ky) {
-        const std::int64_t iy = oy * stride - pad + ky;
-        if (iy < 0 || iy >= h) continue;
-        const float* row = plane + iy * w;
-        for (std::int64_t kx = 0; kx < kernel; ++kx) {
-          const std::int64_t hi = ox_hi[static_cast<std::size_t>(kx)];
-          for (std::int64_t ox = ox_lo[static_cast<std::size_t>(kx)]; ox < hi;
-               ++ox) {
-            const float v = row[ox * stride - pad + kx];
-            best[ox] = v > best[ox] ? v : best[ox];
-          }
+      float* dst = po + (p * oh + oy) * ow;
+      const std::int64_t y0 = oy * stride - pad;
+      const std::int64_t iy0 = std::max<std::int64_t>(y0, 0);
+      const std::int64_t iy1 = std::min(y0 + kernel, h);
+      if (iy0 >= iy1) {
+        std::fill_n(dst, ow, kSeed);
+        continue;
+      }
+      // Row maxima are never NaN, so take(kSeed, v) == v: start from the
+      // first row instead of the seed.
+      std::copy_n(plane + iy0 * ow, ow, dst);
+      for (std::int64_t iy = iy0 + 1; iy < iy1; ++iy) {
+        const float* src = plane + iy * ow;
+        for (std::int64_t ox = 0; ox < ow; ++ox) {
+          dst[ox] = take(dst[ox], src[ox]);
         }
       }
     }
@@ -292,10 +330,25 @@ Tensor MaxPool2d::infer(const Tensor& x, infer::Workspace& ws) {
   DDNN_CHECK(oh > 0 && ow > 0, "MaxPool2d::infer: empty output");
   Tensor out = ws.acquire(Shape{n, c, oh, ow});
   ws.note_use(x);
-  // Same selects as autograd::max_pool2d, minus argmax bookkeeping;
-  // comparisons are exact, so the selected values match bit-for-bit.
-  max_pool_rows(x.data(), n * c, h, w, kernel_, stride_, pad_, oh, ow,
-                out.data());
+  // Row maxima of one image, in per-thread scratch like the binary convs'
+  // padded input (tensor/bitgemm.cpp). Drawn from the workspace they would
+  // sit beside the input and raise the section's planned peak, which at
+  // the device tier is this pool's input plus output. Poison mode fills
+  // them with +inf before each image: a max fold skips NaN but selects
+  // +inf, so a read of an unwritten entry breaks parity.
+  static thread_local std::vector<float> rows;
+  rows.resize(static_cast<std::size_t>(c * h * ow));
+  const bool poison = infer::poison_enabled();
+  for (std::int64_t b = 0; b < n; ++b) {
+    if (poison) {
+      std::fill(rows.begin(), rows.end(),
+                std::numeric_limits<float>::infinity());
+    }
+    // Same selects as autograd::max_pool2d, minus argmax bookkeeping;
+    // comparisons are exact, so the selected values match bit-for-bit.
+    max_pool_rows(x.data() + b * c * h * w, c, h, w, kernel_, stride_, pad_,
+                  oh, ow, rows.data(), out.data() + b * c * oh * ow);
+  }
   return out;
 }
 

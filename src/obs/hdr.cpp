@@ -151,17 +151,6 @@ double HdrHistogram::max() const {
   return std::isinf(m) ? 0.0 : m;
 }
 
-std::int64_t HdrHistogram::merged_count(int b) const {
-  std::int64_t total = 0;
-  for (const auto& slot : shards_) {
-    if (const Shard* s = slot.load(std::memory_order_acquire)) {
-      total += s->counts[static_cast<std::size_t>(b)].load(
-          std::memory_order_relaxed);
-    }
-  }
-  return total;
-}
-
 HdrExemplar HdrHistogram::merged_exemplar(int b) const {
   HdrExemplar best;
   for (const auto& slot : shards_) {
@@ -177,59 +166,56 @@ HdrExemplar HdrHistogram::merged_exemplar(int b) const {
   return best;
 }
 
-namespace {
-
-/// Rank walk shared by percentile() and exemplar_at(): the bucket index
-/// holding the nearest-rank sample, or -1 when empty.
-int rank_bucket(const std::vector<std::int64_t>& counts, double q) {
-  std::int64_t n = 0;
-  for (const std::int64_t c : counts) n += c;
-  if (n == 0) return -1;
-  const std::int64_t rank = nearest_rank(q, n);
-  std::int64_t cum = 0;
-  for (std::size_t b = 0; b < counts.size(); ++b) {
-    cum += counts[b];
-    if (cum >= rank) return static_cast<int>(b);
+HdrHistogram::View HdrHistogram::view() const {
+  View v;
+  v.hist_ = this;
+  v.counts_.assign(static_cast<std::size_t>(buckets_), 0);
+  for (const auto& slot : shards_) {
+    const Shard* s = slot.load(std::memory_order_acquire);
+    if (s == nullptr) continue;
+    for (std::size_t b = 0; b < v.counts_.size(); ++b) {
+      v.counts_[b] += s->counts[b].load(std::memory_order_relaxed);
+    }
   }
-  return static_cast<int>(counts.size()) - 1;
+  for (const std::int64_t c : v.counts_) v.total_ += c;
+  v.max_ = max();
+  return v;
 }
 
-}  // namespace
-
-double HdrHistogram::percentile(double q) const {
+int HdrHistogram::View::rank_bucket(double q) const {
   DDNN_CHECK(q > 0.0 && q <= 1.0, "percentile rank " << q << " not in (0, 1]");
-  std::vector<std::int64_t> counts(static_cast<std::size_t>(buckets_));
-  for (int b = 0; b < buckets_; ++b) {
-    counts[static_cast<std::size_t>(b)] = merged_count(b);
+  if (total_ == 0) return -1;
+  const std::int64_t rank = nearest_rank(q, total_);
+  std::int64_t cum = 0;
+  for (std::size_t b = 0; b < counts_.size(); ++b) {
+    cum += counts_[b];
+    if (cum >= rank) return static_cast<int>(b);
   }
-  const int b = rank_bucket(counts, q);
+  return static_cast<int>(counts_.size()) - 1;
+}
+
+double HdrHistogram::View::percentile(double q) const {
+  const int b = rank_bucket(q);
   if (b < 0) return 0.0;
   // Upper edge of the bucket (the supremum of values it can hold), clamped
   // to the exact recorded max so the top bucket reports a real value.
-  const double edge = static_cast<double>(bucket_upper_unit(b) + 1) * unit_;
-  return std::min(edge, max());
+  const double edge =
+      static_cast<double>(bucket_upper_unit(b) + 1) * hist_->unit_;
+  return std::min(edge, max_);
 }
 
-HdrExemplar HdrHistogram::exemplar_at(double q) const {
-  DDNN_CHECK(q > 0.0 && q <= 1.0, "percentile rank " << q << " not in (0, 1]");
-  std::vector<std::int64_t> counts(static_cast<std::size_t>(buckets_));
-  for (int b = 0; b < buckets_; ++b) {
-    counts[static_cast<std::size_t>(b)] = merged_count(b);
+HdrExemplar HdrHistogram::View::exemplar_at(double q) const {
+  const int b = rank_bucket(q);
+  return b < 0 ? HdrExemplar{} : hist_->merged_exemplar(b);
+}
+
+HdrExemplar HdrHistogram::View::max_exemplar() const {
+  for (int b = static_cast<int>(counts_.size()) - 1; b >= 0; --b) {
+    if (counts_[static_cast<std::size_t>(b)] > 0) {
+      return hist_->merged_exemplar(b);
+    }
   }
-  const int b = rank_bucket(counts, q);
-  return b < 0 ? HdrExemplar{} : merged_exemplar(b);
-}
-
-int HdrHistogram::top_occupied_bucket() const {
-  for (int b = buckets_ - 1; b >= 0; --b) {
-    if (merged_count(b) > 0) return b;
-  }
-  return -1;
-}
-
-HdrExemplar HdrHistogram::max_exemplar() const {
-  const int b = top_occupied_bucket();
-  return b < 0 ? HdrExemplar{} : merged_exemplar(b);
+  return HdrExemplar{};
 }
 
 void HdrHistogram::reset() {

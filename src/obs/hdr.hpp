@@ -19,6 +19,12 @@
 // percentile that resolves to the top occupied bucket) reports a real
 // recorded value, never a bucket edge.
 //
+// Read cost: a read merges every live shard's bucket counts once (one
+// bucket-sized buffer, one pass per shard that has recorded) and walks the
+// merged counts for the rank. A caller that reads several ranks takes one
+// view() and reads them all from it; percentile(), exemplar_at() and
+// max_exemplar() on the histogram are one-shot views.
+//
 // Trace exemplars: record(v, trace_id, sample_index) retains, per bucket,
 // the (trace_id, sample_index) pair with the smallest sample index — the
 // first sample to land there under any serial recording order. Reading a
@@ -65,17 +71,37 @@ class HdrHistogram {
   double min() const;             ///< exact smallest recorded value (0 empty)
   double max() const;             ///< exact largest recorded value (0 empty)
 
-  /// Nearest-rank percentile at bucket granularity: the upper edge of the
-  /// bucket holding the rank-q sample, clamped to the exact recorded max.
-  /// Relative error vs the true sample percentile is <= 1/kSubBuckets.
-  /// q in (0, 1]; returns 0 when empty.
-  double percentile(double q) const;
+  /// One merged read: the bucket counts of every live shard summed once,
+  /// plus the exact max. Ranks read from one view agree with each other.
+  /// Exemplars are looked up in the histogram when asked for, so a view
+  /// must not outlive its histogram.
+  class View {
+   public:
+    /// Nearest-rank percentile at bucket granularity: the upper edge of the
+    /// bucket holding the rank-q sample, clamped to the exact recorded max.
+    /// Relative error vs the true sample percentile is <= 1/kSubBuckets.
+    /// q in (0, 1]; returns 0 when empty.
+    double percentile(double q) const;
+    /// Exemplar of the bucket percentile(q) resolves to (invalid when empty
+    /// or when no exemplar was ever recorded there).
+    HdrExemplar exemplar_at(double q) const;
+    /// Exemplar of the top occupied bucket — the recorded max's bucket.
+    HdrExemplar max_exemplar() const;
 
-  /// Exemplar of the bucket percentile(q) resolves to (invalid when empty
-  /// or when no exemplar was ever recorded there).
-  HdrExemplar exemplar_at(double q) const;
-  /// Exemplar of the top occupied bucket — the recorded max's bucket.
-  HdrExemplar max_exemplar() const;
+   private:
+    friend class HdrHistogram;
+    int rank_bucket(double q) const;  // -1 when empty
+
+    const HdrHistogram* hist_ = nullptr;
+    std::vector<std::int64_t> counts_;
+    std::int64_t total_ = 0;
+    double max_ = 0.0;
+  };
+
+  View view() const;
+  double percentile(double q) const { return view().percentile(q); }
+  HdrExemplar exemplar_at(double q) const { return view().exemplar_at(q); }
+  HdrExemplar max_exemplar() const { return view().max_exemplar(); }
 
   double unit() const { return unit_; }
   double max_value() const { return max_value_; }
@@ -107,9 +133,7 @@ class HdrHistogram {
   };
 
   Shard& shard_for_thread();
-  std::int64_t merged_count(int b) const;
   HdrExemplar merged_exemplar(int b) const;
-  int top_occupied_bucket() const;  // -1 when empty
 
   double unit_;
   double max_value_;

@@ -217,6 +217,12 @@ Histogram& MetricsRegistry::histogram(const std::string& name, double lo,
                                       double hi, int bins) {
   Entry& e = find_or_create(name, Kind::kHistogram);
   if (!e.histogram) e.histogram = std::make_unique<Histogram>(lo, hi, bins);
+  const Histogram& h = *e.histogram;
+  DDNN_CHECK(h.lo() == lo && h.hi() == hi && h.bins() == bins,
+             "histogram '" << name << "' already registered with layout ["
+                           << h.lo() << ", " << h.hi() << ") x " << h.bins()
+                           << ", requested [" << lo << ", " << hi << ") x "
+                           << bins);
   return *e.histogram;
 }
 
@@ -224,6 +230,11 @@ HdrHistogram& MetricsRegistry::hdr_histogram(const std::string& name,
                                              double unit, double max_value) {
   Entry& e = find_or_create(name, Kind::kHdrHistogram);
   if (!e.hdr) e.hdr = std::make_unique<HdrHistogram>(unit, max_value);
+  DDNN_CHECK(e.hdr->unit() == unit && e.hdr->max_value() == max_value,
+             "hdr histogram '" << name << "' already registered with unit "
+                               << e.hdr->unit() << ", max "
+                               << e.hdr->max_value() << ", requested unit "
+                               << unit << ", max " << max_value);
   return *e.hdr;
 }
 
@@ -290,6 +301,7 @@ std::string MetricsRegistry::to_json() const {
       }
       case Kind::kHdrHistogram: {
         const HdrHistogram& h = *e.hdr;
+        const HdrHistogram::View v = h.view();
         os << "\"type\": \"hdr\", \"count\": " << h.count()
            << ", \"overflow\": " << h.overflow()
            << ", \"rel_err\": "
@@ -297,16 +309,16 @@ std::string MetricsRegistry::to_json() const {
            << ", \"min\": " << json_double(h.min())
            << ", \"max\": " << json_double(h.max());
         if (h.count() > 0) {
-          os << ", \"p50\": " << json_double(h.percentile(0.50))
-             << ", \"p90\": " << json_double(h.percentile(0.90))
-             << ", \"p99\": " << json_double(h.percentile(0.99))
-             << ", \"p999\": " << json_double(h.percentile(0.999));
+          os << ", \"p50\": " << json_double(v.percentile(0.50))
+             << ", \"p90\": " << json_double(v.percentile(0.90))
+             << ", \"p99\": " << json_double(v.percentile(0.99))
+             << ", \"p999\": " << json_double(v.percentile(0.999));
         } else {
           os << ", \"p50\": 0, \"p90\": 0, \"p99\": 0, \"p999\": 0";
         }
-        const HdrExemplar p99 = h.exemplar_at(0.99);
-        const HdrExemplar p999 = h.exemplar_at(0.999);
-        const HdrExemplar mx = h.max_exemplar();
+        const HdrExemplar p99 = v.exemplar_at(0.99);
+        const HdrExemplar p999 = v.exemplar_at(0.999);
+        const HdrExemplar mx = v.max_exemplar();
         os << ", \"p99_sample\": " << p99.sample
            << ", \"p99_trace_id\": " << p99.trace_id
            << ", \"p999_sample\": " << p999.sample
@@ -358,11 +370,12 @@ Table MetricsRegistry::to_table() const {
         std::ostringstream v;
         v << "n=" << h.count();
         if (h.count() > 0) {
-          v << " p50=" << Table::num(h.percentile(0.50), 3)
-            << " p99=" << Table::num(h.percentile(0.99), 3)
-            << " p99.9=" << Table::num(h.percentile(0.999), 3)
+          const HdrHistogram::View view = h.view();
+          v << " p50=" << Table::num(view.percentile(0.50), 3)
+            << " p99=" << Table::num(view.percentile(0.99), 3)
+            << " p99.9=" << Table::num(view.percentile(0.999), 3)
             << " max=" << Table::num(h.max(), 3);
-          const HdrExemplar ex = h.exemplar_at(0.999);
+          const HdrExemplar ex = view.exemplar_at(0.999);
           if (ex.valid()) v << " ex=#" << ex.sample;
         }
         table.add_row({e->name, "hdr", v.str()});

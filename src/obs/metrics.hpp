@@ -131,11 +131,12 @@ class MetricsRegistry {
 
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
-  /// Re-requesting an existing histogram ignores lo/hi/bins.
+  /// Re-requesting an existing histogram with another lo/hi/bins throws,
+  /// as re-requesting a name under another metric type does.
   Histogram& histogram(const std::string& name, double lo, double hi,
                        int bins);
   /// Log-bucketed histogram with trace exemplars (obs/hdr.hpp).
-  /// Re-requesting an existing one ignores unit/max_value.
+  /// Re-requesting an existing one with another unit/max_value throws.
   HdrHistogram& hdr_histogram(const std::string& name, double unit,
                               double max_value);
 

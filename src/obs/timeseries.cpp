@@ -95,10 +95,10 @@ void WindowedSeries::flush_window() {
         c.flushed.push_back(0.0);  // derived at export
         break;
       case Kind::kHdr: {
-        const double n = static_cast<double>(c.hdr->count());
-        c.flushed_hdr.push_back(
-            {n, n > 0 ? c.hdr->percentile(0.99) : 0.0,
-             n > 0 ? c.hdr->percentile(0.999) : 0.0, c.hdr->max()});
+        const HdrHistogram::View v = c.hdr->view();
+        c.flushed_hdr.push_back({static_cast<double>(c.hdr->count()),
+                                 v.percentile(0.99), v.percentile(0.999),
+                                 c.hdr->max()});
         c.hdr->reset();
         break;
       }
@@ -217,11 +217,10 @@ void WindowedSeries::append_cells(std::vector<double>& out, const Column& c,
     }
     case Kind::kHdr: {
       if (live) {
-        const double n = static_cast<double>(c.hdr->count());
-        out.push_back(n);
-        out.push_back(n > 0 ? c.hdr->percentile(0.99) : 0.0);
-        out.push_back(n > 0 ? c.hdr->percentile(0.999) : 0.0);
-        out.push_back(c.hdr->max());
+        const HdrHistogram::View v = c.hdr->view();
+        out.insert(out.end(), {static_cast<double>(c.hdr->count()),
+                               v.percentile(0.99), v.percentile(0.999),
+                               c.hdr->max()});
       } else {
         const auto& s = c.flushed_hdr[w];
         out.insert(out.end(), {s[0], s[1], s[2], s[3]});

@@ -227,11 +227,14 @@ TEST(RunBook, BooksMetricsRegistryAndSeriesInLockstep) {
   }
   EXPECT_EQ(registry.gauge("runtime.total_latency_s").value(),
             m.total_latency_s);
-  EXPECT_EQ(registry.histogram("runtime.sample_latency_ms", 0, 1, 1).count(),
-            3);
-  EXPECT_EQ(registry.histogram("runtime.sample_bytes", 0, 1, 1).count(), 3);
+  EXPECT_EQ(
+      registry.histogram("runtime.sample_latency_ms", 0.0, 1000.0, 100).count(),
+      3);
+  EXPECT_EQ(
+      registry.histogram("runtime.sample_bytes", 0.0, 1048576.0, 64).count(),
+      3);
   const obs::HdrHistogram& hdr =
-      registry.hdr_histogram("runtime.hdr_latency_ms", 1, 1);
+      registry.hdr_histogram("runtime.hdr_latency_ms", 1e-3, 3.6e6);
   EXPECT_EQ(hdr.count(), 3);
   EXPECT_EQ(hdr.max_exemplar().sample, 2);
   EXPECT_EQ(hdr.max_exemplar().trace_id, traces[2].trace_id);

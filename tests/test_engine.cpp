@@ -237,6 +237,64 @@ TEST(Kernels, MaxPoolMatchesAutogradBitwiseOnSpecialValues) {
   }
 }
 
+TEST(Kernels, MaxPoolModelShapesMatchAutogradBitwise) {
+  // The pool inputs of a preset-e model, then even and odd heights and
+  // widths over the (kernel, stride, pad) grid: even widths at stride 2
+  // take the flat row sweep, the rest the per-row one. Inputs are
+  // non-positive, so windows tie between -0 and +0 unless a +inf or a
+  // positive border value wins. Each case runs through run_section twice,
+  // record then replay; under DDNN_POISON=1 the replay reads a poisoned
+  // arena and every call poisons the pool's row scratch, so a read of an
+  // unwritten entry breaks parity.
+  Rng rng(29);
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(), -0.0f,
+                            0.0f};
+  using Geometry = std::tuple<std::int64_t, std::int64_t, std::int64_t>;
+  std::vector<std::pair<Shape, Geometry>> cases = {
+      {Shape{1, 4, 32, 32}, {3, 2, 1}},
+      {Shape{1, 16, 16, 16}, {3, 2, 1}},
+      {Shape{1, 48, 8, 8}, {3, 2, 1}}};
+  for (const Geometry& g : std::vector<Geometry>{
+           {3, 2, 1}, {3, 1, 1}, {2, 2, 1}, {5, 2, 2}, {3, 3, 2}, {3, 2, 0},
+           {2, 1, 0}}) {
+    for (const std::int64_t h : {8, 9, 16, 17}) {
+      for (const std::int64_t w : {8, 9, 16, 17}) {
+        cases.push_back({Shape{2, 3, h, w}, g});
+      }
+    }
+  }
+  autograd::NoGradGuard no_grad;
+  for (const auto& [shape, g] : cases) {
+    const auto [kernel, stride, pad] = g;
+    const std::int64_t h = shape[2], w = shape[3];
+    Tensor x = Tensor::randn(shape, rng);
+    for (std::int64_t i = 0; i < x.numel(); ++i) {
+      const std::int64_t iy = i / w % h, ix = i % w;
+      const bool border = iy == 0 || iy == h - 1 || ix == 0 || ix == w - 1;
+      x[i] = border ? x[i] : -std::fabs(x[i]);
+      if (!border && i % 3 == 0) x[i] = specials[(i / 3) % 5];
+    }
+    nn::MaxPool2d pool(kernel, stride, pad);
+    const Tensor want = pool.forward(Variable(x)).value();
+    infer::Workspace ws;
+    const infer::SectionDesc desc{infer::SectionTier::kDevice,
+                                  infer::next_section_id(), "max_pool"};
+    SCOPED_TRACE(::testing::Message()
+                 << "shape=" << shape.to_string() << " kernel=" << kernel
+                 << " stride=" << stride << " pad=" << pad);
+    for (int pass = 0; pass < 2; ++pass) {
+      const auto outs = infer::run_section(
+          ws, desc, {x}, "",
+          [&pool](const std::vector<Tensor>& in, infer::Workspace& w) {
+            return std::vector<Tensor>{pool.infer(in[0], w)};
+          });
+      expect_bitwise_equal(outs[0], want);
+    }
+  }
+}
+
 // --------------------------------------------------- bitpack validation
 
 TEST(Bitpack, RejectsEmptyAndMismatchedInputs) {

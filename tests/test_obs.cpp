@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "core/metrics.hpp"
@@ -26,6 +27,7 @@
 #include "tensor/tensor_ops.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 
 namespace ddnn::obs {
@@ -79,6 +81,23 @@ TEST(MetricsRegistry, NameReuseWithDifferentTypeThrows) {
   reg.counter("x");
   EXPECT_THROW(reg.gauge("x"), Error);
   EXPECT_THROW(reg.histogram("x", 0, 1, 2), Error);
+}
+
+TEST(MetricsRegistry, HistogramReuseWithDifferentLayoutThrows) {
+  MetricsRegistry reg;
+  Histogram& h = reg.histogram("h", 0.0, 10.0, 5);
+  EXPECT_EQ(&reg.histogram("h", 0.0, 10.0, 5), &h);
+  EXPECT_THROW(reg.histogram("h", 0.0, 10.0, 6), Error);
+  EXPECT_THROW(reg.histogram("h", 1.0, 10.0, 5), Error);
+  EXPECT_THROW(reg.histogram("h", 0.0, 20.0, 5), Error);
+}
+
+TEST(MetricsRegistry, HdrHistogramReuseWithDifferentLayoutThrows) {
+  MetricsRegistry reg;
+  HdrHistogram& h = reg.hdr_histogram("hdr", 1e-3, 3.6e6);
+  EXPECT_EQ(&reg.hdr_histogram("hdr", 1e-3, 3.6e6), &h);
+  EXPECT_THROW(reg.hdr_histogram("hdr", 1e-2, 3.6e6), Error);
+  EXPECT_THROW(reg.hdr_histogram("hdr", 1e-3, 1e3), Error);
 }
 
 TEST(MetricsRegistry, ResetZeroesValuesButKeepsRegistrationOrder) {
@@ -343,8 +362,9 @@ TEST_F(ObsRuntimeFixture, TraceJsonAndBoundMetricsAreRerunIdentical) {
   EXPECT_EQ(reg.counter("runtime.exit.local").value(), m.exit_counts[0]);
   EXPECT_EQ(reg.counter("runtime.exit.cloud").value(), m.exit_counts[1]);
   EXPECT_EQ(reg.gauge("runtime.total_latency_s").value(), m.total_latency_s);
-  EXPECT_EQ(reg.histogram("runtime.sample_latency_ms", 0, 1, 1).count(),
-            m.samples);
+  EXPECT_EQ(
+      reg.histogram("runtime.sample_latency_ms", 0.0, 1000.0, 100).count(),
+      m.samples);
 }
 
 // ---------------------------------------------------------------- profiling
@@ -518,6 +538,91 @@ TEST(HdrHistogram, MergesExactlyAcrossPoolWorkers) {
     EXPECT_EQ(par.exemplar_at(q).sample, ser.exemplar_at(q).sample) << q;
     EXPECT_EQ(par.exemplar_at(q).trace_id, ser.exemplar_at(q).trace_id) << q;
   }
+}
+
+TEST(HdrHistogram, ReadsFromSeveralLiveShardsMatchBruteForce) {
+  // Four recording threads, so four shard slots are live; each records a
+  // strided share of the samples in descending index order, so the
+  // smallest-sample-index rule decides every exemplar across shards. Some
+  // values exceed max_value and clamp into the top bucket.
+  constexpr double kUnit = 1e-3, kMax = 1e3;
+  constexpr int kSamples = 12000, kThreads = 4;
+  Rng rng(31);
+  std::vector<double> values(kSamples);
+  for (auto& v : values) {
+    const double r = rng.uniform();
+    v = r < 0.9 ? rng.uniform(0.0, 5.0)
+                : (r < 0.995 ? rng.uniform(5.0, 900.0)
+                             : rng.uniform(kMax, 4.0 * kMax));
+  }
+  const auto trace_of = [](std::int64_t i) {
+    return static_cast<std::uint64_t>(1000003 * i + 7);
+  };
+  HdrHistogram h(kUnit, kMax);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      for (std::int64_t i = kSamples - 1 - t; i >= 0; i -= kThreads) {
+        h.record(values[static_cast<std::size_t>(i)], trace_of(i), i);
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+
+  // Brute force: the bucket of the rank-q sorted sample, its upper edge
+  // clamped to the exact max, and the smallest sample index in the bucket.
+  const auto max_unit = static_cast<std::int64_t>(kMax / kUnit);
+  const auto bucket_of = [&](double v) {
+    return HdrHistogram::bucket_for_unit(
+        std::min(static_cast<std::int64_t>(std::max(v, 0.0) / kUnit),
+                 max_unit));
+  };
+  std::vector<double> sorted = values;
+  std::sort(sorted.begin(), sorted.end());
+  const double max_value = sorted.back();
+  const auto exemplar_of_bucket = [&](int b) {
+    for (std::int64_t i = 0; i < kSamples; ++i) {
+      if (bucket_of(values[static_cast<std::size_t>(i)]) == b) {
+        return HdrExemplar{i, trace_of(i)};
+      }
+    }
+    return HdrExemplar{};
+  };
+  const HdrHistogram::View view = h.view();
+  for (const double q : {0.5, 0.9, 0.99, 0.999, 1.0}) {
+    const double v = sorted[static_cast<std::size_t>(
+        nearest_rank(q, kSamples) - 1)];
+    const int b = bucket_of(v);
+    const double want = std::min(
+        static_cast<double>(HdrHistogram::bucket_upper_unit(b) + 1) * kUnit,
+        max_value);
+    const HdrExemplar ex = exemplar_of_bucket(b);
+    EXPECT_EQ(h.percentile(q), want) << q;
+    EXPECT_EQ(view.percentile(q), want) << q;
+    EXPECT_EQ(h.exemplar_at(q).sample, ex.sample) << q;
+    EXPECT_EQ(h.exemplar_at(q).trace_id, ex.trace_id) << q;
+    EXPECT_EQ(view.exemplar_at(q).sample, ex.sample) << q;
+    EXPECT_EQ(view.exemplar_at(q).trace_id, ex.trace_id) << q;
+  }
+  const HdrExemplar top = exemplar_of_bucket(bucket_of(max_value));
+  EXPECT_EQ(h.max_exemplar().sample, top.sample);
+  EXPECT_EQ(h.max_exemplar().trace_id, top.trace_id);
+  EXPECT_EQ(view.max_exemplar().sample, top.sample);
+  EXPECT_EQ(h.count(), kSamples);
+  EXPECT_EQ(h.max(), max_value);
+
+  h.reset();
+  const HdrHistogram::View empty = h.view();
+  for (const double q : {0.5, 0.9, 0.99, 0.999, 1.0}) {
+    EXPECT_EQ(h.percentile(q), 0.0) << q;
+    EXPECT_EQ(empty.percentile(q), 0.0) << q;
+    EXPECT_FALSE(h.exemplar_at(q).valid()) << q;
+    EXPECT_FALSE(empty.exemplar_at(q).valid()) << q;
+  }
+  EXPECT_FALSE(h.max_exemplar().valid());
+  EXPECT_FALSE(empty.max_exemplar().valid());
+  EXPECT_EQ(h.count(), 0);
+  EXPECT_EQ(h.max(), 0.0);
 }
 
 TEST(MetricsRegistry, HdrJsonCarriesExemplarsAndIsByteStable) {

@@ -189,6 +189,42 @@ TEST(WindowedSeries, HdrColumnExportsTailColumnsPerWindow) {
   EXPECT_EQ(csv, s.to_csv());
 }
 
+TEST(WindowedSeries, FlushedHdrRowEqualsDirectReadsBeforeTheFlush) {
+  // A mirror histogram takes the same samples as each window; its direct
+  // reads just before the window closes must be the row the flush keeps.
+  WindowedSeries s(1.0);
+  const int lat = s.add_hdr("lat_ms", 1e-3, 3.6e6);
+  HdrHistogram mirror(1e-3, 3.6e6);
+  std::vector<std::vector<double>> want;
+  for (int w = 0; w < 3; ++w) {
+    for (int i = 0; i < 400; ++i) {
+      const double straggler = i % 97 == 0 ? 80.0 * (w + 1) : 0.0;
+      const double v = 0.25 + 0.37 * ((i * (w + 3)) % 101) + straggler;
+      s.record(lat, w + 0.001 * i, v, 100 + i, w * 1000 + i);
+      mirror.record(v);
+    }
+    want.push_back({static_cast<double>(mirror.count()),
+                    mirror.percentile(0.99), mirror.percentile(0.999),
+                    mirror.max()});
+    mirror.reset();
+  }
+  s.record(lat, 3.5, 1.0);  // closes window 2
+  std::istringstream lines(s.to_csv());
+  std::string line;
+  std::getline(lines, line);  // header
+  for (std::size_t w = 0; w < want.size(); ++w) {
+    ASSERT_TRUE(std::getline(lines, line));
+    std::vector<double> cells;
+    std::istringstream row(line);
+    for (std::string cell; std::getline(row, cell, ',');) {
+      cells.push_back(std::stod(cell));
+    }
+    ASSERT_EQ(cells.size(), 7u) << line;
+    EXPECT_EQ(std::vector<double>(cells.begin() + 3, cells.end()), want[w])
+        << "window " << w;
+  }
+}
+
 TEST(WindowedSeries, RejectsApiMisuse) {
   WindowedSeries s(1.0);
   const int c = s.add_counter("a");
