@@ -5,13 +5,15 @@
 # optimized tier-1 build would silently tolerate — especially in the
 # fault-injection paths, which exercise drop/retry/degraded routes the happy
 # path never takes, and in the dataset renderer, which writes canvases
-# through raw row pointers. A second, ThreadSanitizer build runs
-# test_engine, test_obs, test_timeseries and test_planner with a four-thread
-# pool: the threaded kernels, their per-thread scratch and the
-# double-checked packed-weight cache; the counter, histogram and HDR shard
-# merges across pool workers and the exemplar CAS; concurrent ledger
-# appenders; and the retired-section log that pool workers read while the
-# caller destroys models.
+# through raw row pointers — and in the served hierarchy (test_serve), whose
+# cloud and edge roles run on threads over loopback sockets. A second,
+# ThreadSanitizer build runs test_engine, test_obs, test_timeseries,
+# test_planner and test_serve with a four-thread pool: the threaded kernels,
+# their per-thread scratch and the double-checked packed-weight cache; the
+# counter, histogram and HDR shard merges across pool workers, the exemplar
+# CAS and concurrent metric registration; concurrent ledger appenders; the
+# retired-section log that pool workers read while the caller destroys
+# models; and three serving roles sharing one process.
 #
 # Usage: check_sanitizers.sh <source-dir> [build-dir] [tsan-build-dir]
 set -euo pipefail
@@ -23,7 +25,7 @@ tsan_build="${3:-${src}/build-tsan}"
 cmake -S "${src}" -B "${build}" -DDDNN_SANITIZE=ON \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build "${build}" -j --target test_fault test_dist test_transport \
-  test_engine test_obs test_planner test_data >/dev/null
+  test_engine test_obs test_planner test_data test_serve >/dev/null
 
 # Leak checking needs ptrace, which containers often deny; the point here is
 # heap/stack corruption and UB, so keep leaks off and halt on everything else.
@@ -31,7 +33,7 @@ export ASAN_OPTIONS="detect_leaks=0:abort_on_error=1"
 export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 
 for bin in test_fault test_dist test_transport test_engine test_obs \
-    test_planner test_data; do
+    test_planner test_data test_serve; do
   echo "== sanitizers: ${bin}"
   "${build}/tests/${bin}" --gtest_brief=1
 done
@@ -51,8 +53,8 @@ cmake -S "${src}" -B "${tsan_build}" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" >/dev/null
 cmake --build "${tsan_build}" -j --target test_engine test_obs \
-  test_timeseries test_planner >/dev/null
-for bin in test_engine test_obs test_timeseries test_planner; do
+  test_timeseries test_planner test_serve >/dev/null
+for bin in test_engine test_obs test_timeseries test_planner test_serve; do
   echo "== tsan: DDNN_THREADS=4 ${bin}"
   TSAN_OPTIONS="halt_on_error=1" DDNN_THREADS=4 \
     "${tsan_build}/tests/${bin}" --gtest_brief=1

@@ -110,8 +110,13 @@ Tensor decode_raw_image(const Message& msg, Shape shape) {
 }
 
 Tensor decode_features(const Message& msg, const Shape& shape) {
-  if (msg.kind == MessageKind::kRawImage) {
-    return decode_raw_image(msg, shape);
+  switch (msg.kind) {
+    case MessageKind::kClassScores:
+      return decode_class_scores(msg, shape.dim(-1));
+    case MessageKind::kRawImage:
+      return decode_raw_image(msg, shape);
+    case MessageKind::kBinaryFeatureMap:
+      break;
   }
   return decode_binary_feature_map(msg, shape);
 }

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "tensor/tensor.hpp"
@@ -40,6 +41,10 @@ struct Message {
   }
 };
 
+/// One message per branch of a stage (device, or edge group); nullopt where
+/// nothing arrived.
+using Messages = std::vector<std::optional<Message>>;
+
 /// [C] or [1, C] float scores -> 4*C bytes (exact float32 round trip).
 Message encode_class_scores(const Tensor& scores);
 Tensor decode_class_scores(const Message& msg, std::int64_t num_classes);
@@ -54,10 +59,9 @@ Tensor decode_binary_feature_map(const Message& msg, Shape shape);
 Message encode_raw_image(const Tensor& image);
 Tensor decode_raw_image(const Message& msg, Shape shape);
 
-/// Decode a device/edge feature message of known shape, dispatching on the
-/// payload kind: raw images are the config-(a) device payload (and the
-/// graceful-degradation raw-offload fallback); everything else is
-/// bit-packed binary.
+/// Decode a message of known shape, dispatching on the payload kind: class
+/// scores ([1, C]); raw images, the config-(a) device payload and the
+/// graceful-degradation raw-offload fallback; bit-packed binary features.
 Tensor decode_features(const Message& msg, const Shape& shape);
 
 }  // namespace ddnn::dist

@@ -75,36 +75,14 @@ Message DeviceNode::raw_image_message() const {
   return encode_raw_image(view_);
 }
 
-Shape DeviceNode::feature_shape() const {
-  return device_feature_shape(model_.config());
-}
-
-GatewayNode::GatewayNode(core::DdnnModel& model) : model_(model) {
-  DDNN_CHECK(model.config().has_local_exit,
-             "gateway requires a model with a local exit");
-}
-
-Tensor GatewayNode::aggregate(
-    const std::vector<std::optional<Message>>& scores) {
-  autograd::NoGradGuard no_grad;
-  const std::int64_t c = model_.config().num_classes;
-  std::vector<Variable> logits;
-  std::vector<bool> active;
-  bool any = false;
-  for (const auto& msg : scores) {
-    if (msg.has_value()) {
-      logits.emplace_back(decode_class_scores(*msg, c));
-      active.push_back(true);
-      any = true;
-    } else {
-      logits.emplace_back(Tensor::zeros(Shape{1, c}));
-      active.push_back(false);
-    }
+SectionInputs decode_inputs(const Messages& msgs, const Shape& shape) {
+  SectionInputs in;
+  for (const auto& msg : msgs) {
+    in.values.emplace_back(msg.has_value() ? decode_features(*msg, shape)
+                                           : Tensor::zeros(shape));
+    in.active.push_back(msg.has_value());
   }
-  // A gateway that heard from zero devices has nothing to fuse; the runtime
-  // must escalate instead of asking for a decision from silence.
-  DDNN_CHECK(any, "gateway aggregation with zero delivered score messages");
-  return model_.local_aggregate(logits, active).value();
+  return in;
 }
 
 EdgeNode::EdgeNode(std::size_t group, core::DdnnModel& model)
@@ -114,24 +92,13 @@ EdgeNode::EdgeNode(std::size_t group, core::DdnnModel& model)
              "edge group out of range");
 }
 
-Message EdgeNode::process(
-    const std::vector<std::optional<Message>>& member_features,
-    std::int64_t batch) {
+Message EdgeNode::process(const Messages& member_features,
+                          std::int64_t batch) {
   DDNN_CHECK(batch == 1, "the simulated runtime classifies one sample at a time");
   autograd::NoGradGuard no_grad;
-  const Shape shape = device_feature_shape(model_.config());
-  std::vector<Variable> features;
-  std::vector<bool> active;
-  for (const auto& msg : member_features) {
-    if (msg.has_value()) {
-      features.emplace_back(decode_features(*msg, shape));
-      active.push_back(true);
-    } else {
-      features.emplace_back(Tensor::zeros(shape));
-      active.push_back(false);
-    }
-  }
-  const auto result = model_.edge_section(group_, features, active);
+  const auto in =
+      decode_inputs(member_features, device_feature_shape(model_.config()));
+  const auto result = model_.edge_section(group_, in.values, in.active);
   features_ = result.features;
   return encode_class_scores(result.logits.value());
 }
@@ -139,33 +106,6 @@ Message EdgeNode::process(
 Message EdgeNode::feature_message() const {
   DDNN_CHECK(features_.defined(), "feature_message before process()");
   return encode_binary_feature_map(features_.value());
-}
-
-Shape EdgeNode::feature_shape() const {
-  return edge_feature_shape(model_.config());
-}
-
-CloudNode::CloudNode(core::DdnnModel& model) : model_(model) {}
-
-Tensor CloudNode::process(const std::vector<std::optional<Message>>& branches,
-                          std::int64_t batch) {
-  DDNN_CHECK(batch == 1, "the simulated runtime classifies one sample at a time");
-  autograd::NoGradGuard no_grad;
-  const Shape shape = model_.config().has_edge()
-                          ? edge_feature_shape(model_.config())
-                          : device_feature_shape(model_.config());
-  std::vector<Variable> features;
-  std::vector<bool> active;
-  for (const auto& msg : branches) {
-    if (msg.has_value()) {
-      features.emplace_back(decode_features(*msg, shape));
-      active.push_back(true);
-    } else {
-      features.emplace_back(Tensor::zeros(shape));
-      active.push_back(false);
-    }
-  }
-  return model_.cloud_section(features, active).value();
 }
 
 }  // namespace ddnn::dist

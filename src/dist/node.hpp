@@ -1,10 +1,13 @@
-// Simulated hierarchy nodes.
+// The stateful hierarchy nodes — devices and edges, which cache their
+// features for a later escalation — and the decoding every tier shares.
 //
-// Each node executes its partition of the jointly-trained DDNN by calling
+// Every tier executes its partition of the jointly-trained DDNN by calling
 // the model's section API (core::DdnnModel::device_section_*, edge_section,
-// cloud_section), so the distributed execution is the SAME computation as
-// the centralized forward pass — with the intermediate tensors round-tripped
-// through the wire format in between (lossless for binarized features).
+// cloud_section; the gateway and the cloud are stateless, so the runtime
+// calls theirs directly), so the distributed execution is the SAME
+// computation as the centralized forward pass — with the intermediate
+// tensors round-tripped through the wire format in between (lossless for
+// binarized features).
 #pragma once
 
 #include <optional>
@@ -20,6 +23,14 @@ namespace ddnn::dist {
 Shape device_feature_shape(const core::DdnnConfig& cfg);
 /// Shape of a single-sample edge feature tensor under `cfg`.
 Shape edge_feature_shape(const core::DdnnConfig& cfg);
+
+/// Section inputs decoded from per-branch messages of one shape: a missing
+/// message is a zero tensor, masked out of the section's fusion.
+struct SectionInputs {
+  std::vector<core::Variable> values;
+  std::vector<bool> active;
+};
+SectionInputs decode_inputs(const Messages& msgs, const Shape& shape);
 
 /// An end device: senses one view, runs its trunk + local exit head.
 class DeviceNode {
@@ -52,9 +63,6 @@ class DeviceNode {
   /// images and the cloud runs the whole network (traditional offloading).
   Message raw_image_message() const;
 
-  /// Shape of the feature tensor this device forwards upward.
-  Shape feature_shape() const;
-
  private:
   int id_;
   core::DdnnModel& model_;
@@ -64,20 +72,6 @@ class DeviceNode {
   core::Variable features_;        // cached trunk output
 };
 
-/// The local aggregator / gateway: fuses device class scores and makes the
-/// local exit decision.
-class GatewayNode {
- public:
-  explicit GatewayNode(core::DdnnModel& model);
-
-  /// Decode and fuse the per-device score messages (slots of failed devices
-  /// carry no message => std::nullopt). Returns the fused [1, C] scores.
-  Tensor aggregate(const std::vector<std::optional<Message>>& scores);
-
- private:
-  core::DdnnModel& model_;
-};
-
 /// An edge server handling one device group.
 class EdgeNode {
  public:
@@ -85,32 +79,15 @@ class EdgeNode {
 
   /// Decode member feature messages, run the edge section. Caches features.
   /// Returns this edge's exit-score message.
-  Message process(const std::vector<std::optional<Message>>& member_features,
-                  std::int64_t batch);
+  Message process(const Messages& member_features, std::int64_t batch);
 
   /// Bit-packed edge features for the cloud (requires a prior process()).
   Message feature_message() const;
-
-  Shape feature_shape() const;
 
  private:
   std::size_t group_;
   core::DdnnModel& model_;
   core::Variable features_;
-};
-
-/// The cloud: fuses incoming branches and produces the final classification.
-class CloudNode {
- public:
-  explicit CloudNode(core::DdnnModel& model);
-
-  /// `branches[i]`: feature message from device/edge branch i (nullopt for
-  /// failed branches). Returns the final [1, C] scores.
-  Tensor process(const std::vector<std::optional<Message>>& branches,
-                 std::int64_t batch);
-
- private:
-  core::DdnnModel& model_;
 };
 
 }  // namespace ddnn::dist

@@ -199,13 +199,6 @@ struct FleetSeries {
   std::vector<int> station_queue;  // per-station queue gauge, cloud last
 };
 
-/// Deterministic stand-in trace id for pools that predate trace ids: the
-/// same splitmix-style mix drive_hierarchy seeds span ids with, keyed by
-/// the arrival index — never by wall clock, so exports stay byte-identical.
-std::uint64_t minted_trace_id(std::int64_t index) {
-  return (0x9E3779B97F4A7C15ull * static_cast<std::uint64_t>(index + 1)) &
-         ((1ull << 48) - 1);
-}
 
 /// Station metric name: fleet.station.edge<g> / fleet.station.cloud.
 std::string station_prefix(int station, int cloud_idx) {
@@ -423,8 +416,10 @@ FleetStats simulate_fleet(const std::vector<InferenceTrace>& traces,
         Job job;
         job.entry_t = now;
         job.index = ev.index;
+        // Pools that predate trace ids get the simulator's, keyed by the
+        // arrival index.
         job.trace_id = trace.trace_id != 0 ? trace.trace_id
-                                           : minted_trace_id(ev.index);
+                                           : trace_id_of(ev.index);
         if (trace.exit_taken == 0) {
           job.local = true;
           push({.t = now + trace.latency_s, .kind = Event::Kind::kDone,

@@ -1,6 +1,7 @@
 #include "dist/runtime.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <iterator>
 
 #include "autograd/grad_mode.hpp"
@@ -10,20 +11,48 @@
 
 namespace ddnn::dist {
 
+namespace {
+
+double wall_s() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+/// argmax + normalized entropy of a [1, C] score vector — the decision rule
+/// every exit applies to its fused scores.
+struct ExitDecision {
+  std::int64_t prediction = 0;
+  double entropy = 0.0;
+};
 ExitDecision decide_exit(const Tensor& logits) {
   const Tensor probs = ops::softmax_rows(logits);
   return {ops::argmax_rows(probs)[0], core::normalized_entropy_row(probs, 0)};
 }
 
+bool any_of(const Messages& msgs) {
+  return std::any_of(msgs.begin(), msgs.end(),
+                     [](const auto& m) { return m.has_value(); });
+}
+
+/// An edge group's members' messages, by position in the group.
+Messages members_of(const std::vector<int>& group, const Messages& features) {
+  Messages members;
+  for (int d : group) members.push_back(features[static_cast<std::size_t>(d)]);
+  return members;
+}
+
+}  // namespace
+
 HierarchyRuntime::HierarchyRuntime(core::DdnnModel& model,
                                    std::vector<double> thresholds,
                                    std::vector<int> device_map,
-                                   RuntimeConfig config)
+                                   RuntimeConfig config, RemoteTiers remote)
     : model_(model),
       thresholds_(std::move(thresholds)),
       device_map_(std::move(device_map)),
       config_(config),
-      cloud_(model),
+      remote_(remote),
       sim_transport_(config.reliability) {
   const auto& cfg = model_.config();
   DDNN_CHECK(!cfg.float_devices,
@@ -33,6 +62,11 @@ HierarchyRuntime::HierarchyRuntime(core::DdnnModel& model,
              "need one threshold per non-final exit");
   DDNN_CHECK(static_cast<int>(device_map_.size()) == cfg.num_devices,
              "device map size mismatch");
+  const bool edge_local = remote_.edge == nullptr;
+  const bool cloud_local = remote_.cloud == nullptr;
+  DDNN_CHECK((edge_local && cloud_local) || cfg.edge_groups.size() <= 1,
+             "ddnn serve runs one edge process; multi-edge presets are "
+             "simulator-only for now");
   config_.reliability.validate();
 
   for (int b = 0; b < cfg.num_devices; ++b) {
@@ -51,7 +85,6 @@ HierarchyRuntime::HierarchyRuntime(core::DdnnModel& model,
           config_.device_link);
     }
   }
-  if (cfg.has_local_exit) gateway_.emplace(model_);
   if (cfg.has_edge()) {
     for (std::size_t g = 0; g < cfg.edge_groups.size(); ++g) {
       edges_.emplace_back(g, model_);
@@ -61,13 +94,24 @@ HierarchyRuntime::HierarchyRuntime(core::DdnnModel& model,
                                      config_.edge_link);
     }
   }
+  // The book owns link.* of every hop into an in-process tier; a hop into a
+  // remote tier is booked by the transport that carries it.
+  const std::pair<const std::vector<Link>*, bool> booked[] = {
+      {&dev_gateway_links_, true},
+      {&dev_uplink_links_, cfg.has_edge() ? edge_local : cloud_local},
+      {&edge_coord_links_, edge_local},
+      {&edge_cloud_links_, edge_local && cloud_local},
+      {&dev_cloud_links_, cloud_local}};
   std::vector<const Link*> links;
-  for (const auto* group : {&dev_gateway_links_, &dev_uplink_links_,
-                            &edge_coord_links_, &edge_cloud_links_,
-                            &dev_cloud_links_}) {
+  for (const auto& [group, local] : booked) {
+    if (!local) continue;
     for (const Link& link : *group) links.push_back(&link);
   }
   book_ = RunBook(model_.exit_names(), devices_.size(), std::move(links));
+  if (!edge_local || !cloud_local) {
+    run_nonce_ = static_cast<std::uint64_t>(
+        std::chrono::steady_clock::now().time_since_epoch().count());
+  }
   reset_metrics();
 }
 
@@ -119,18 +163,26 @@ void HierarchyRuntime::reset_metrics() {
 void HierarchyRuntime::set_tracer(obs::SpanTracer* tracer) {
   tracer_ = tracer;
   if (!tracer_) return;
+  if (transport().measures_time()) {
+    epoch_ = wall_s();
+    tracer_->set_meta("epoch_s", epoch_);
+  }
   tracer_->set_track_name(0, "samples");
   for (std::size_t b = 0; b < devices_.size(); ++b) {
     tracer_->set_track_name(device_track(static_cast<int>(b)),
                             "device" + std::to_string(b));
   }
-  if (gateway_) tracer_->set_track_name(gateway_track(), "gateway");
-  for (std::size_t g = 0; g < edges_.size(); ++g) {
-    tracer_->set_track_name(edge_track(static_cast<int>(g)),
-                            "edge" + std::to_string(g));
+  if (model_.config().has_local_exit) {
+    tracer_->set_track_name(gateway_track(), "gateway");
   }
-  if (!edges_.empty()) tracer_->set_track_name(coord_track(), "edge-coord");
-  tracer_->set_track_name(cloud_track(), "cloud");
+  if (remote_.edge == nullptr) {
+    for (std::size_t g = 0; g < edges_.size(); ++g) {
+      tracer_->set_track_name(edge_track(static_cast<int>(g)),
+                              "edge" + std::to_string(g));
+    }
+    if (!edges_.empty()) tracer_->set_track_name(coord_track(), "edge-coord");
+  }
+  if (remote_.cloud == nullptr) tracer_->set_track_name(cloud_track(), "cloud");
 }
 
 namespace {
@@ -321,379 +373,471 @@ Table HierarchyRuntime::link_report() const {
   return table;
 }
 
-std::optional<Message> edge_section_at_cloud(
-    core::DdnnModel& model, std::size_t g,
-    const std::vector<std::optional<Message>>& features) {
-  const auto& cfg = model.config();
-  autograd::NoGradGuard no_grad;
-  const Shape shape = device_feature_shape(cfg);
-  std::vector<core::Variable> members;
-  std::vector<bool> active;
-  bool any = false;
-  for (int d : cfg.edge_groups[g]) {
-    const auto& msg = features[static_cast<std::size_t>(d)];
-    if (msg.has_value()) {
-      members.emplace_back(decode_features(*msg, shape));
-      active.push_back(true);
-      any = true;
-    } else {
-      members.emplace_back(Tensor::zeros(shape));
-      active.push_back(false);
-    }
-  }
-  if (!any) return std::nullopt;
-  const auto result = model.edge_section(g, members, active);
-  return encode_binary_feature_map(result.features.value());
+double HierarchyRuntime::Pass::now() const { return wall ? wall_s() : 0.0; }
+
+double HierarchyRuntime::Pass::charge(double start, double modelled) const {
+  return wall ? wall_s() - start : modelled;
 }
 
-Tensor cloud_forward_from_raw_views(
-    core::DdnnModel& model, const std::vector<std::optional<Message>>& raws) {
-  const auto& cfg = model.config();
-  autograd::NoGradGuard no_grad;
-  const Shape view_shape{1, cfg.input_channels, cfg.input_size,
-                         cfg.input_size};
-  const Shape feature_shape = device_feature_shape(cfg);
-  std::vector<core::Variable> feats;
-  std::vector<bool> active;
-  for (std::size_t b = 0; b < raws.size(); ++b) {
-    if (raws[b].has_value()) {
-      const core::Variable input(decode_raw_image(*raws[b], view_shape));
-      feats.emplace_back(cfg.device_conv_blocks == 0
-                             ? input
-                             : model.device_section_features(
-                                   static_cast<int>(b), input));
-      active.push_back(true);
-    } else {
-      feats.emplace_back(Tensor::zeros(feature_shape));
-      active.push_back(false);
-    }
-  }
-  if (!cfg.has_edge()) return model.cloud_section(feats, active).value();
+HierarchyRuntime::Pass HierarchyRuntime::begin(std::int64_t sidx,
+                                               const TraceContext& ctx) {
+  Pass p;
+  p.sidx = sidx;
+  p.ctx = ctx;
+  p.wall = transport().measures_time();
+  p.t0 = p.now();
+  // Simulated samples lay out back to back on the run timeline, each
+  // starting where the previous one's latency ended; measured samples start
+  // at their wall time since the tracer's epoch.
+  p.base = p.wall ? p.t0 - epoch_ : book_.metrics().total_latency_s;
+  return p;
+}
 
-  const Shape edge_shape = edge_feature_shape(cfg);
-  std::vector<core::Variable> branches;
-  std::vector<bool> branch_active;
-  for (std::size_t g = 0; g < cfg.edge_groups.size(); ++g) {
-    std::vector<core::Variable> members;
-    std::vector<bool> member_active;
-    bool any = false;
-    for (int d : cfg.edge_groups[g]) {
-      members.push_back(feats[static_cast<std::size_t>(d)]);
-      member_active.push_back(active[static_cast<std::size_t>(d)]);
-      any = any || active[static_cast<std::size_t>(d)];
-    }
-    if (any) {
-      branches.push_back(model.edge_section(g, members, member_active)
-                             .features);
-      branch_active.push_back(true);
-    } else {
-      branches.emplace_back(Tensor::zeros(edge_shape));
-      branch_active.push_back(false);
+InferenceTrace HierarchyRuntime::commit(Pass& p, std::int64_t label,
+                                        const TierDecision& d) {
+  InferenceTrace& trace = p.trace;
+  trace.exit_taken = d.exit_taken;
+  trace.prediction = d.prediction;
+  trace.entropy = d.entropy;
+  // No tier could classify: a flagged dead trace, counted, never crashed on.
+  if (d.exit_taken < 0) trace.degraded = trace.dead = true;
+  trace.latency_s = p.charge(p.t0, trace.latency_s);
+  book_.sample(trace, label, p.sidx, p.base);
+  if (tracer_) {
+    // Root span: dur_s and the latency_s/bytes args are the *exact*
+    // doubles/integers booked into RuntimeMetrics, so trace consumers can
+    // cross-check the two exports bit-for-bit (scripts/check_trace.py).
+    obs::Span& root = tracer_->add("sample", "sample", 0, p.base,
+                                   trace.latency_s)
+                          .with("sample_index", p.sidx)
+                          .with("exit", trace.exit_taken)
+                          .with("prediction", trace.prediction)
+                          .with("label", label)
+                          .with("entropy", trace.entropy)
+                          .with("latency_s", trace.latency_s)
+                          .with("bytes", trace.bytes_sent)
+                          .with("retries", trace.retries)
+                          .with("degraded", trace.degraded)
+                          .with("dead", trace.dead);
+    if (p.ctx.trace_id != 0) {
+      root.with("trace_id", static_cast<std::int64_t>(p.ctx.trace_id))
+          .with("span_id", static_cast<std::int64_t>(p.ctx.parent_span));
     }
   }
-  return model.cloud_section(branches, branch_active).value();
+  return trace;
+}
+
+obs::Span& HierarchyRuntime::span(const Pass& p, const char* name,
+                                  const char* cat, int track, double start,
+                                  double dur) {
+  obs::Span& s = tracer_->add(name, cat, track, start, dur);
+  if (p.ctx.trace_id != 0) {
+    s.with("sample_index", p.sidx)
+        .with("trace_id", static_cast<std::int64_t>(p.ctx.trace_id))
+        .with("parent_span", static_cast<std::int64_t>(p.ctx.parent_span));
+  }
+  return s;
+}
+
+void HierarchyRuntime::send_items(Pass& p, bool from_edge, bool colocated,
+                                  const char* span_name, double t_off,
+                                  double& stage) {
+  const double start = p.now();
+  if (colocated) {
+    results_.clear();
+    for (const auto& item : items_) {
+      item.link->transmit(*item.msg);
+      results_.push_back(SendResult{true, 1, 0, 0.0});
+    }
+  } else {
+    transport().send_batch(items_, results_);
+  }
+  // Sends are booked at the sample's start time. Each span starts at the
+  // stage's start on the sender's track (`t_off` shifts it past compute
+  // charged before the send, e.g. the edge trunk).
+  double slowest = 0.0;
+  for (std::size_t i = 0; i < items_.size(); ++i) {
+    const auto& item = items_[i];
+    const SendResult& res = results_[i];
+    const std::int64_t bytes = item.msg->payload_bytes();
+    book_.send(*item.link, res, bytes, from_edge ? -1 : item.branch, p.base,
+               p.trace);
+    if (tracer_) {
+      span(p, span_name, "net",
+           from_edge ? edge_track(item.branch) : device_track(item.branch),
+           p.base + p.trace.latency_s + t_off, res.latency_s)
+          .with("link", item.link->name())
+          .with("bytes", res.delivered ? bytes : std::int64_t{0})
+          .with("attempts", res.attempts)
+          .with("delivered", res.delivered);
+    }
+    slowest = std::max(slowest, res.latency_s);
+  }
+  stage = std::max(stage, p.charge(start, slowest));
+}
+
+bool HierarchyRuntime::sense(Pass& p, const data::MvmcSample& sample) {
+  const FaultInjector* inj = fault_injector();
+  const double start = p.now();
+  p.alive.assign(devices_.size(), false);
+  bool any_alive = false;
+  for (std::size_t b = 0; b < devices_.size(); ++b) {
+    if (devices_[b].failed()) continue;
+    if (inj && inj->device_down(static_cast<int>(b), p.sidx)) continue;
+    const auto dev_id = static_cast<std::size_t>(device_map_[b]);
+    devices_[b].sense(sample.views.at(dev_id));
+    p.alive[b] = true;
+    any_alive = true;
+  }
+  if (!any_alive) return false;
+  const double dur = p.charge(start, config_.device_compute_s);
+  if (tracer_) {
+    for (std::size_t b = 0; b < devices_.size(); ++b) {
+      if (!p.alive[b]) continue;
+      span(p, "device_section", "compute", device_track(static_cast<int>(b)),
+           p.base + p.trace.latency_s, dur)
+          .with("branch", static_cast<int>(b));
+    }
+  }
+  p.trace.latency_s += dur;
+  return true;
+}
+
+template <typename Make, typename Route>
+Messages HierarchyRuntime::from_devices(Pass& p, Make make, Route route,
+                                        bool colocated, const char* span_name) {
+  Messages msgs(devices_.size());
+  items_.clear();
+  for (std::size_t b = 0; b < devices_.size(); ++b) {
+    if (!p.alive[b]) continue;
+    msgs[b] = make(devices_[b]);
+    items_.push_back({&route(b), &*msgs[b], p.sidx,
+                      static_cast<std::int32_t>(b), p.ctx});
+  }
+  double stage = 0.0;
+  send_items(p, false, colocated, span_name, 0.0, stage);
+  for (std::size_t i = 0; i < items_.size(); ++i) {
+    if (!results_[i].delivered) {
+      msgs[static_cast<std::size_t>(items_[i].branch)].reset();
+    }
+  }
+  p.trace.latency_s += stage;
+  return msgs;
+}
+
+std::optional<TierDecision> HierarchyRuntime::gateway_exit(Pass& p) {
+  // A real gateway runs beside the devices that feed it.
+  const auto scores = from_devices(
+      p, [](DeviceNode& d) { return d.scores_message(); },
+      [&](std::size_t b) -> Link& { return dev_gateway_links_[b]; }, p.wall,
+      "send:scores");
+  const auto delivered = static_cast<int>(
+      std::count_if(scores.begin(), scores.end(),
+                    [](const auto& m) { return m.has_value(); }));
+  if (delivered == 0) {
+    // The gateway heard from zero devices: it cannot make a local
+    // decision, so the sample escalates without one.
+    p.trace.degraded = true;
+    return std::nullopt;
+  }
+  const double start = p.now();
+  autograd::NoGradGuard no_grad;
+  const auto in = decode_inputs(scores, Shape{1, model_.config().num_classes});
+  const ExitDecision d =
+      decide_exit(model_.local_aggregate(in.values, in.active).value());
+  const double fuse = p.charge(start, 0.0);
+  if (tracer_) {
+    span(p, "gateway_fuse", "compute", gateway_track(),
+         p.base + p.trace.latency_s, fuse)
+        .with("delivered", delivered)
+        .with("entropy", d.entropy);
+  }
+  p.trace.latency_s += fuse;
+  if (!core::should_exit(d.entropy, thresholds_[0])) return std::nullopt;
+  return TierDecision{0, d.prediction, d.entropy};
+}
+
+Messages HierarchyRuntime::send_features(Pass& p,
+                                         const std::vector<bool>& dark) {
+  const bool has_edge = model_.config().has_edge();
+  return from_devices(
+      p, [](DeviceNode& d) { return d.feature_message(); },
+      [&](std::size_t b) -> Link& {
+        const int g = has_edge ? group_of(static_cast<int>(b)) : -1;
+        if (g < 0 || !dark[static_cast<std::size_t>(g)]) {
+          return dev_uplink_links_[b];
+        }
+        p.trace.degraded = true;
+        return dev_cloud_links_[b];
+      },
+      false, "send:features");
+}
+
+TierDecision HierarchyRuntime::run_edge(Pass& p, const Messages& features,
+                                        const std::vector<bool>& dark) {
+  const auto& cfg = model_.config();
+  const auto n_groups = cfg.edge_groups.size();
+  // Reachable edges process their member devices and send their exit scores
+  // to the coordinator, which a real edge runs in its own process.
+  Messages edge_scores(n_groups);
+  std::vector<bool> active(n_groups, false);
+  double trunk = 0.0;
+  double stage = 0.0;
+  for (std::size_t g = 0; g < n_groups; ++g) {
+    if (dark[g]) continue;
+    const auto members = members_of(cfg.edge_groups[g], features);
+    active[g] = any_of(members);
+    if (!active[g]) continue;
+    const double start = p.now();
+    edge_scores[g] = edges_[g].process(members, 1);
+    const double dur = p.charge(start, config_.edge_compute_s);
+    trunk = std::max(trunk, dur);
+    if (tracer_) {
+      span(p, "edge_trunk", "compute", edge_track(static_cast<int>(g)),
+           p.base + p.trace.latency_s, dur)
+          .with("group", static_cast<int>(g));
+    }
+    items_.assign(1, {&edge_coord_links_[g], &*edge_scores[g], p.sidx,
+                      static_cast<std::int32_t>(g), p.ctx});
+    send_items(p, true, p.wall, "send:edge_scores", dur, stage);
+    if (!results_[0].delivered) edge_scores[g].reset();
+  }
+  p.trace.latency_s += trunk;
+  p.trace.latency_s += stage;
+
+  // Fused edge exit (skipped when the coordinator heard from zero edges —
+  // the sample escalates straight to the cloud).
+  if (any_of(edge_scores)) {
+    const auto in = decode_inputs(edge_scores, Shape{1, cfg.num_classes});
+    const double start = p.now();
+    const ExitDecision d =
+        decide_exit(model_.edge_exit_aggregate(in.values, in.active).value());
+    const double fuse = p.charge(start, 0.0);
+    if (tracer_) {
+      span(p, "edge_exit_fuse", "compute", coord_track(),
+           p.base + p.trace.latency_s, fuse)
+          .with("entropy", d.entropy);
+    }
+    p.trace.latency_s += fuse;
+    const int exit_index = cfg.has_local_exit ? 1 : 0;
+    if (core::should_exit(d.entropy,
+                          thresholds_[static_cast<std::size_t>(exit_index)])) {
+      return TierDecision{exit_index, d.prediction, d.entropy};
+    }
+  } else {
+    p.trace.degraded = true;
+  }
+  auto branches = to_cloud(p, dark, active, features);
+  return cloud(p, ClassifyMode::kNormal, branches);
+}
+
+Messages HierarchyRuntime::to_cloud(Pass& p, const std::vector<bool>& dark,
+                                    const std::vector<bool>& active,
+                                    const Messages& features) {
+  // What reaches the cloud from each group: its edge's features or, for a
+  // dark group, the group's edge section, run by the cloud itself on the
+  // member features sent straight to it.
+  const auto& groups = model_.config().edge_groups;
+  Messages branches(groups.size());
+  double stage = 0.0;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    if (dark[g]) {
+      const double start = p.now();
+      branches[g] = edge_at_cloud(g, features);
+      const double dur = p.charge(start, 0.0);
+      if (tracer_) {
+        span(p, "edge_section_at_cloud", "compute", cloud_track(),
+             p.base + p.trace.latency_s, dur)
+            .with("group", static_cast<int>(g))
+            .with("delivered", branches[g].has_value());
+      }
+      p.trace.latency_s += dur;
+      continue;
+    }
+    if (!active[g]) continue;
+    Message msg = edges_[g].feature_message();
+    items_.assign(1, {&edge_cloud_links_[g], &msg, p.sidx,
+                      static_cast<std::int32_t>(g), p.ctx});
+    send_items(p, true, false, "send:edge_features", 0.0, stage);
+    if (results_[0].delivered) branches[g] = std::move(msg);
+  }
+  p.trace.latency_s += stage;
+  return branches;
+}
+
+std::optional<Message> HierarchyRuntime::edge_at_cloud(
+    std::size_t g, const Messages& features) {
+  const auto members = members_of(model_.config().edge_groups[g], features);
+  if (!any_of(members)) return std::nullopt;
+  edges_[g].process(members, 1);
+  return edges_[g].feature_message();
+}
+
+Messages HierarchyRuntime::raw_at_cloud(const Messages& raws) {
+  // Each raw view through its device section, then each group's edge
+  // section: the cloud runs the whole network itself. Binary features
+  // round-trip their messages exactly.
+  const auto& cfg = model_.config();
+  autograd::NoGradGuard no_grad;
+  const Shape view{1, cfg.input_channels, cfg.input_size, cfg.input_size};
+  Messages features(raws.size());
+  for (std::size_t b = 0; b < raws.size(); ++b) {
+    if (!raws[b].has_value()) continue;
+    features[b] =
+        cfg.device_conv_blocks == 0
+            ? *raws[b]
+            : encode_binary_feature_map(
+                  model_
+                      .device_section_features(
+                          static_cast<int>(b),
+                          core::Variable(decode_raw_image(*raws[b], view)))
+                      .value());
+  }
+  if (!cfg.has_edge()) return features;
+  Messages branches(cfg.edge_groups.size());
+  for (std::size_t g = 0; g < branches.size(); ++g) {
+    branches[g] = edge_at_cloud(g, features);
+  }
+  return branches;
+}
+
+TierDecision HierarchyRuntime::cloud(Pass& p, ClassifyMode mode,
+                                     Messages& msgs) {
+  if (remote_.cloud == nullptr) return run_cloud(p, mode, msgs);
+  return ask(*remote_.cloud, p, mode, msgs).value_or(TierDecision{});
+}
+
+TierDecision HierarchyRuntime::run_cloud(Pass& p, ClassifyMode mode,
+                                         Messages& msgs) {
+  const auto& cfg = model_.config();
+  if (mode == ClassifyMode::kEdgeAtCloud) {
+    const std::vector<bool> dark(cfg.edge_groups.size(), true);
+    msgs = to_cloud(p, dark, dark, msgs);
+  }
+  if (!any_of(msgs)) return {};
+  const bool raw = mode == ClassifyMode::kRawOffload;
+  const double start = p.now();
+  if (raw) msgs = raw_at_cloud(msgs);
+  autograd::NoGradGuard no_grad;
+  const auto in = decode_inputs(msgs, cfg.has_edge()
+                                          ? edge_feature_shape(cfg)
+                                          : device_feature_shape(cfg));
+  const ExitDecision d =
+      decide_exit(model_.cloud_section(in.values, in.active).value());
+  const double dur = p.charge(start, config_.cloud_compute_s);
+  if (tracer_) {
+    span(p, "cloud_classify", "compute", cloud_track(),
+         p.base + p.trace.latency_s, dur)
+        .with("raw_offload", raw)
+        .with("entropy", d.entropy);
+  }
+  p.trace.latency_s += dur;
+  return TierDecision{cfg.num_exits() - 1, d.prediction, d.entropy};
+}
+
+TierDecision HierarchyRuntime::raw_offload(Pass& p) {
+  // Last resort: no feature reached the cloud, so alive devices retransmit
+  // their quantized raw views and the cloud runs the whole network itself
+  // (the paper's traditional-offloading path).
+  const bool has_edge = model_.config().has_edge();
+  p.trace.degraded = true;
+  auto raws = from_devices(
+      p, [](DeviceNode& d) { return d.raw_image_message(); },
+      [&](std::size_t b) -> Link& {
+        return has_edge ? dev_cloud_links_[b] : dev_uplink_links_[b];
+      },
+      false, "send:raw_image");
+  return cloud(p, ClassifyMode::kRawOffload, raws);
+}
+
+std::optional<TierDecision> HierarchyRuntime::ask(RemoteTier& tier, Pass& p,
+                                                  ClassifyMode mode,
+                                                  const Messages& msgs) {
+  const double start = p.now();
+  std::optional<TierDecision> d = tier.classify(p.sidx, mode, msgs, p.ctx);
+  p.trace.latency_s += p.charge(start, 0.0);
+  if (d) {
+    p.trace.bytes_sent += d->bytes;
+    p.trace.degraded = p.trace.degraded || d->degraded;
+  }
+  return d;
 }
 
 InferenceTrace HierarchyRuntime::classify(const data::MvmcSample& sample) {
   const auto& cfg = model_.config();
-  const auto n_dev = devices_.size();
   const std::int64_t sidx = sample_index_++;
-  const FaultInjector* inj = fault_injector();
-  InferenceTrace trace;
-  // 48-bit trace id minted from the sample index alone (splitmix-style
-  // multiply) — never the wall clock, so any export carrying it stays
-  // byte-identical across reruns.
-  trace.trace_id =
-      (0x9E3779B97F4A7C15ull * static_cast<std::uint64_t>(sidx + 1)) &
-      ((1ull << 48) - 1);
-  int exit_index = 0;
-  const int cloud_exit = cfg.num_exits() - 1;
-
-  // Simulated-clock origin of this sample on the run timeline: samples lay
-  // out sequentially, each starting where the previous one's latency ended.
-  obs::SpanTracer* tr = tracer_;
-  const double base = book_.metrics().total_latency_s;
-
-  // Book a finished trace into the run accounting; every return goes
-  // through here exactly once.
-  auto commit = [&](int exit_taken, std::int64_t prediction,
-                    double entropy) -> InferenceTrace& {
-    trace.exit_taken = exit_taken;
-    trace.prediction = prediction;
-    trace.entropy = entropy;
-    book_.sample(trace, sample.label, sidx, base);
-    if (tr) {
-      // Root span: dur_s and the latency_s/bytes args are the *exact*
-      // doubles/integers booked into RuntimeMetrics, so trace consumers can
-      // cross-check the two exports bit-for-bit (scripts/check_trace.py).
-      tr->add("sample", "sample", 0, base, trace.latency_s)
-          .with("sample_index", sidx)
-          .with("exit", exit_taken)
-          .with("prediction", prediction)
-          .with("label", sample.label)
-          .with("entropy", entropy)
-          .with("latency_s", trace.latency_s)
-          .with("bytes", trace.bytes_sent)
-          .with("retries", trace.retries)
-          .with("degraded", trace.degraded)
-          .with("dead", trace.dead);
-    }
-    return trace;
-  };
-
-  // Reliable send, booked at the sample's start time. The elapsed time
-  // joins the stage's parallel-sender critical path. The span starts at the
-  // stage's start on the sender's track (`t_off` shifts it past compute
-  // charged before the send, e.g. the edge trunk).
-  auto send = [&](Link& link, const Message& msg, int branch,
-                  double& stage_latency, int track, const char* span_name,
-                  double t_off = 0.0) -> bool {
-    const SendResult res = transport().send(link, msg, sidx);
-    book_.send(link, res, msg.payload_bytes(), branch, base, trace);
-    if (tr) {
-      tr->add(span_name, "net", track, base + trace.latency_s + t_off,
-              res.latency_s)
-          .with("link", link.name())
-          .with("bytes", res.delivered ? msg.payload_bytes()
-                                       : std::int64_t{0})
-          .with("attempts", res.attempts)
-          .with("delivered", res.delivered);
-    }
-    stage_latency = std::max(stage_latency, res.latency_s);
-    return res.delivered;
-  };
-
-  // --- Stage 0: every reachable device runs its NN section on its view.
-  std::vector<bool> alive(n_dev, false);
-  bool any_alive = false;
-  for (std::size_t b = 0; b < n_dev; ++b) {
-    if (devices_[b].failed()) continue;
-    if (inj && inj->device_down(static_cast<int>(b), sidx)) continue;
-    const auto dev_id = static_cast<std::size_t>(device_map_[b]);
-    devices_[b].sense(sample.views.at(dev_id));
-    alive[b] = true;
-    any_alive = true;
+  const std::uint64_t trace_id = trace_id_of(sidx, run_nonce_);
+  // Remote tiers stamp their spans with the sample's trace context.
+  TraceContext ctx;
+  if (remote_.edge != nullptr || remote_.cloud != nullptr) {
+    ctx = {trace_id, (static_cast<std::uint64_t>(sidx) << 8) | 1ull};
   }
-  if (!any_alive) {
-    // Every device is down: nothing sensed, nothing to classify. Count the
-    // sample as a flagged dead trace instead of aborting the run — accuracy
-    // degrades, the system keeps serving.
-    trace.degraded = trace.dead = true;
-    return commit(-1, -1, 1.0);
-  }
-  if (tr) {
-    for (std::size_t b = 0; b < n_dev; ++b) {
-      if (!alive[b]) continue;
-      tr->add("device_section", "compute", device_track(static_cast<int>(b)),
-              base, config_.device_compute_s)
-          .with("branch", static_cast<int>(b));
-    }
-  }
-  trace.latency_s += config_.device_compute_s;
+  Pass p = begin(sidx, ctx);
+  p.trace.trace_id = trace_id;
 
-  // --- Stage 1: local exit.
+  // Every device down: nothing sensed, nothing to classify — a dead trace.
+  if (!sense(p, sample)) return commit(p, sample.label, {});
   if (cfg.has_local_exit) {
-    std::vector<std::optional<Message>> scores(n_dev);
-    double stage_latency = 0.0;
-    int delivered = 0;
-    for (std::size_t b = 0; b < n_dev; ++b) {
-      if (!alive[b]) continue;
-      Message msg = devices_[b].scores_message();
-      if (send(dev_gateway_links_[b], msg, static_cast<int>(b),
-               stage_latency, device_track(static_cast<int>(b)),
-               "send:scores")) {
-        scores[b] = std::move(msg);
-        ++delivered;
-      }
-    }
-    trace.latency_s += stage_latency;
-    if (delivered > 0) {
-      const Tensor fused = gateway_->aggregate(scores);
-      const ExitDecision d = decide_exit(fused);
-      if (tr) {
-        tr->add("gateway_fuse", "compute", gateway_track(),
-                base + trace.latency_s, 0.0)
-            .with("delivered", delivered)
-            .with("entropy", d.entropy);
-      }
-      if (core::should_exit(d.entropy, thresholds_[0])) {
-        return commit(0, d.prediction, d.entropy);
-      }
-    } else {
-      // The gateway heard from zero devices: it cannot make a local
-      // decision, so the sample escalates without one.
-      trace.degraded = true;
-    }
-    exit_index = 1;
+    if (const auto d = gateway_exit(p)) return commit(p, sample.label, *d);
   }
 
-  // --- Stage 2: devices escalate their features upward. A device whose
-  // edge group is inside an outage window routes straight to the cloud.
-  std::vector<std::optional<Message>> features(n_dev);
-  {
-    double stage_latency = 0.0;
-    for (std::size_t b = 0; b < n_dev; ++b) {
-      if (!alive[b]) continue;
-      const int g = cfg.has_edge() ? group_of(static_cast<int>(b)) : -1;
-      const bool edge_up = g < 0 || !(inj && inj->edge_down(g, sidx));
-      if (!edge_up) trace.degraded = true;
-      Link& uplink = edge_up ? dev_uplink_links_[b] : dev_cloud_links_[b];
-      Message msg = devices_[b].feature_message();
-      if (send(uplink, msg, static_cast<int>(b), stage_latency,
-               device_track(static_cast<int>(b)), "send:features")) {
-        features[b] = std::move(msg);
-      }
-    }
-    trace.latency_s += stage_latency;
+  // Escalate. An edge group is dark for this sample inside an injected
+  // outage window, or once its remote edge has stopped answering; its
+  // devices then send straight to the cloud, which runs the group's edge
+  // section itself.
+  const FaultInjector* inj = fault_injector();
+  std::vector<bool> dark(cfg.edge_groups.size());
+  for (std::size_t g = 0; g < dark.size(); ++g) {
+    dark[g] = remote_.edge != nullptr
+                  ? !remote_.edge->up()
+                  : inj && inj->edge_down(static_cast<int>(g), sidx);
   }
-
-  std::vector<std::optional<Message>> cloud_branches;
-  if (cfg.has_edge()) {
-    // --- Stage 3: reachable edges process their member devices.
-    const auto n_groups = cfg.edge_groups.size();
-    std::vector<std::optional<Message>> edge_scores(n_groups);
-    std::vector<bool> group_active(n_groups, false);
-    std::vector<bool> edge_up(n_groups, true);
-    double stage_latency = 0.0;
-    bool any_edge_ran = false;
-    for (std::size_t g = 0; g < n_groups; ++g) {
-      edge_up[g] = !(inj && inj->edge_down(static_cast<int>(g), sidx));
-      if (!edge_up[g]) continue;
-      std::vector<std::optional<Message>> members;
-      bool any = false;
-      for (int d : cfg.edge_groups[g]) {
-        members.push_back(features[static_cast<std::size_t>(d)]);
-        any = any || features[static_cast<std::size_t>(d)].has_value();
-      }
-      group_active[g] = any;
-      if (!any) continue;
-      Message msg = edges_[g].process(members, 1);
-      any_edge_ran = true;
-      if (tr) {
-        tr->add("edge_trunk", "compute", edge_track(static_cast<int>(g)),
-                base + trace.latency_s, config_.edge_compute_s)
-            .with("group", static_cast<int>(g));
-      }
-      if (send(edge_coord_links_[g], msg, -1, stage_latency,
-               edge_track(static_cast<int>(g)), "send:edge_scores",
-               config_.edge_compute_s)) {
-        edge_scores[g] = std::move(msg);
-      }
-    }
-    if (any_edge_ran) trace.latency_s += config_.edge_compute_s;
-    trace.latency_s += stage_latency;
-
-    // --- Stage 4: fused edge exit decision (skipped when the coordinator
-    // heard from zero edges — the sample escalates straight to the cloud).
-    const bool any_score =
-        std::any_of(edge_scores.begin(), edge_scores.end(),
-                    [](const auto& s) { return s.has_value(); });
-    if (any_score) {
-      std::vector<core::Variable> edge_logits;
-      std::vector<bool> active;
-      for (std::size_t g = 0; g < n_groups; ++g) {
-        if (edge_scores[g].has_value()) {
-          edge_logits.emplace_back(
-              decode_class_scores(*edge_scores[g], cfg.num_classes));
-          active.push_back(true);
-        } else {
-          edge_logits.emplace_back(Tensor::zeros(Shape{1, cfg.num_classes}));
-          active.push_back(false);
-        }
-      }
-      const Tensor fused =
-          model_.edge_exit_aggregate(edge_logits, active).value();
-      const ExitDecision d = decide_exit(fused);
-      if (tr) {
-        tr->add("edge_exit_fuse", "compute", coord_track(),
-                base + trace.latency_s, 0.0)
-            .with("entropy", d.entropy);
-      }
-      if (core::should_exit(
-              d.entropy, thresholds_[static_cast<std::size_t>(exit_index)])) {
-        return commit(exit_index, d.prediction, d.entropy);
-      }
-    } else {
-      trace.degraded = true;
-    }
-    ++exit_index;
-
-    // --- Stage 5: edges forward their features to the cloud; groups whose
-    // edge is dark have their edge section computed by the cloud itself on
-    // the member features that arrived over the fallback links.
-    double cloud_latency = 0.0;
-    cloud_branches.resize(n_groups);
-    for (std::size_t g = 0; g < n_groups; ++g) {
-      if (!edge_up[g]) {
-        cloud_branches[g] = edge_section_at_cloud(model_, g, features);
-        if (tr) {
-          tr->add("edge_section_at_cloud", "compute", cloud_track(),
-                  base + trace.latency_s, 0.0)
-              .with("group", static_cast<int>(g))
-              .with("delivered", cloud_branches[g].has_value());
-        }
-        continue;
-      }
-      if (!group_active[g]) continue;
-      Message msg = edges_[g].feature_message();
-      if (send(edge_cloud_links_[g], msg, -1, cloud_latency,
-               edge_track(static_cast<int>(g)), "send:edge_features")) {
-        cloud_branches[g] = std::move(msg);
-      }
-    }
-    trace.latency_s += cloud_latency;
+  auto features = send_features(p, dark);
+  TierDecision d;
+  if (!cfg.has_edge()) {
+    d = cloud(p, ClassifyMode::kNormal, features);
+  } else if (remote_.edge == nullptr) {
+    d = run_edge(p, features, dark);
   } else {
-    cloud_branches = std::move(features);
-  }
-
-  // --- Stage 6: the cloud always classifies.
-  const bool any_branch =
-      std::any_of(cloud_branches.begin(), cloud_branches.end(),
-                  [](const auto& b) { return b.has_value(); });
-  if (!any_branch) {
-    // Last-resort raw offload: no feature reached the cloud, so alive
-    // devices retransmit their quantized raw views and the cloud runs the
-    // whole network itself (the paper's traditional-offloading path).
-    trace.degraded = true;
-    std::vector<std::optional<Message>> raws(n_dev);
-    double stage_latency = 0.0;
-    int delivered = 0;
-    for (std::size_t b = 0; b < n_dev; ++b) {
-      if (!alive[b]) continue;
-      Message msg = devices_[b].raw_image_message();
-      Link& to_cloud =
-          cfg.has_edge() ? dev_cloud_links_[b] : dev_uplink_links_[b];
-      if (send(to_cloud, msg, static_cast<int>(b), stage_latency,
-               device_track(static_cast<int>(b)), "send:raw_image")) {
-        raws[b] = std::move(msg);
-        ++delivered;
+    std::optional<TierDecision> answer;
+    if (!dark.front()) {
+      answer = ask(*remote_.edge, p, ClassifyMode::kNormal, features);
+    }
+    if (answer) {
+      d = *answer;
+    } else {
+      // The edge has stopped answering: this sample, and every later one,
+      // takes the outage route.
+      if (!dark.front()) {
+        dark.assign(dark.size(), true);
+        features = send_features(p, dark);
       }
+      d = cloud(p, ClassifyMode::kEdgeAtCloud, features);
     }
-    trace.latency_s += stage_latency;
-    if (delivered == 0) {
-      trace.dead = true;
-      return commit(-1, -1, 1.0);
-    }
-    const ExitDecision d = decide_exit(cloud_forward_from_raw_views(model_, raws));
-    if (tr) {
-      tr->add("cloud_classify", "compute", cloud_track(),
-              base + trace.latency_s, config_.cloud_compute_s)
-          .with("raw_offload", true)
-          .with("entropy", d.entropy);
-    }
-    trace.latency_s += config_.cloud_compute_s;
-    return commit(cloud_exit, d.prediction, d.entropy);
   }
-  const Tensor logits = cloud_.process(cloud_branches, 1);
-  const ExitDecision d = decide_exit(logits);
-  if (tr) {
-    tr->add("cloud_classify", "compute", cloud_track(),
-            base + trace.latency_s, config_.cloud_compute_s)
-        .with("raw_offload", false)
-        .with("entropy", d.entropy);
-  }
-  trace.latency_s += config_.cloud_compute_s;
-  return commit(cloud_exit, d.prediction, d.entropy);
+  if (d.exit_taken < 0) d = raw_offload(p);
+  return commit(p, sample.label, d);
+}
+
+TierDecision HierarchyRuntime::edge_step(std::int64_t sample,
+                                         const Messages& features,
+                                         const TraceContext& ctx) {
+  Pass p = begin(sample, ctx);
+  const std::vector<bool> dark(model_.config().edge_groups.size(), false);
+  TierDecision d = run_edge(p, features, dark);
+  d.bytes = p.trace.bytes_sent;
+  d.degraded = p.trace.degraded;
+  return d;
+}
+
+TierDecision HierarchyRuntime::cloud_step(
+    std::int64_t sample, ClassifyMode mode, Messages msgs,
+    const TraceContext& ctx) {
+  Pass p = begin(sample, ctx);
+  TierDecision d = run_cloud(p, mode, msgs);
+  d.bytes = p.trace.bytes_sent;
+  d.degraded = mode != ClassifyMode::kNormal;
+  return d;
 }
 
 RuntimeMetrics HierarchyRuntime::run(

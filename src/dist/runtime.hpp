@@ -1,35 +1,42 @@
-// HierarchyRuntime: end-to-end simulated execution of DDNN inference over
-// the distributed computing hierarchy (paper Section III-D, steps 1-6).
+// HierarchyRuntime: DDNN inference over the distributed computing hierarchy
+// (paper Section III-D, steps 1-6), and the one place that routes a sample.
 //
 // Per sample:
 //   1. every healthy device runs its NN section and sends its class-score
 //      message to the local aggregator (gateway);
-//   2. the gateway fuses the scores and computes the normalized entropy;
-//   3. eta <= T_local  -> classify locally, nothing else is transmitted;
-//   4. otherwise every healthy device transmits its bit-packed binary
-//      feature map to its edge (or straight to the cloud);
-//   5. with an edge tier: each edge aggregates its members, runs its trunk,
-//      and the fused edge exit decides; confident -> classify at the edge;
-//   6. otherwise the edges (or devices) forward features to the cloud,
+//   2. the gateway fuses the scores; eta <= T_local -> classify locally;
+//   3. otherwise every healthy device sends its bit-packed binary feature
+//      map to its edge (or straight to the cloud);
+//   4. with an edge tier: each edge runs its trunk and the fused edge exit
+//      decides; confident -> classify at the edge;
+//   5. otherwise the edges (or devices) forward features to the cloud,
 //      which always classifies.
 //
-// Every message crosses a Link, so byte counts and simulated latency are
-// measured, not modeled; tests assert the measured per-device bytes match
-// the paper's Eq. 1.
+// Each tier is one step (sense, gateway_exit, run_edge, run_cloud). A tier
+// above the devices is in-process, where the ladder calls its step, or a
+// RemoteTier in another process, which first receives its messages over
+// the transport and then answers a Classify request. `ddnn serve`
+// (dist/serve.hpp) runs the devices and the gateway in the driver and the
+// edge and cloud steps in their own processes: the same code either way.
 //
-// With a FaultPlan installed (set_fault_plan), every send goes through a
-// ReliableChannel (timeout + bounded retry + backoff) and the runtime
-// degrades gracefully instead of aborting:
+// Every message crosses a Link, so byte counts are measured, not modelled;
+// tests assert the measured per-device bytes match the paper's Eq. 1. The
+// transport sets the clock: the simulator charges modelled link latency and
+// RuntimeConfig's compute costs, a socket transport measured wall time.
+//
+// Degradation, with a FaultPlan installed (set_fault_plan) or a remote tier
+// that stops answering:
 //   * a gateway that hears from zero devices escalates without a local
 //     decision;
-//   * a sample whose edge tier is in an outage window routes device
-//     features straight to the cloud, which runs the edge section itself;
+//   * a sample whose edge is dark (in an outage window, or a remote edge
+//     that stopped answering — from then on) routes device features
+//     straight to the cloud, which runs the edge section itself;
 //   * when no feature reaches the cloud at all, alive devices fall back to
 //     raw-image offload (the paper's traditional-offloading baseline);
 //   * a sample no tier can classify yields a flagged dead trace
 //     (exit_taken = -1) — counted, never crashed on.
-// All fault randomness is counter-mode seeded (see dist/fault.hpp), so runs
-// are bit-identical across repetitions and DDNN_THREADS settings.
+// All fault randomness is counter-mode seeded (see dist/fault.hpp), so
+// simulated runs are bit-identical across repetitions and DDNN_THREADS.
 #pragma once
 
 #include <optional>
@@ -79,28 +86,59 @@ struct InferenceTrace {
   std::uint64_t trace_id = 0;
 };
 
-/// argmax + normalized entropy of a [1, C] score vector — the decision rule
-/// every exit applies to its fused scores. Shared by the simulator and the
-/// served hierarchy (dist/serve.cpp) so the two paths cannot drift.
-struct ExitDecision {
-  std::int64_t prediction = 0;
-  double entropy = 0.0;
+/// Deterministic 48-bit trace id of sample `index`: a splitmix-style
+/// multiply of the index folded with a run nonce — 0 on the simulator, so
+/// exports carrying it stay byte-identical; drawn from the clock when tiers
+/// are remote, so concurrent served runs never share ids. 48 bits survive
+/// JSON consumers that parse numbers as doubles.
+inline std::uint64_t trace_id_of(std::int64_t index,
+                                 std::uint64_t nonce = 0) {
+  const auto mixed =
+      nonce ^ (0x9E3779B97F4A7C15ull * static_cast<std::uint64_t>(index + 1));
+  return mixed & ((1ull << 48) - 1);
+}
+
+/// How a tier should treat the messages delivered to it for one sample —
+/// the mode a served Classify frame carries.
+enum class ClassifyMode : std::uint8_t {
+  kNormal = 0,      ///< features from the tier directly below
+  kEdgeAtCloud = 1, ///< device features; the cloud runs the edge section
+  kRawOffload = 2,  ///< raw views; the cloud runs the whole network
 };
-ExitDecision decide_exit(const Tensor& logits);
 
-/// Edge-outage fallback shared by the simulator and the served cloud
-/// (dist/serve.cpp): run edge group `g`'s section on whatever member device
-/// features arrived. Returns the feature message the cloud would have
-/// received from that edge, or nullopt when no member delivered.
-std::optional<Message> edge_section_at_cloud(
-    core::DdnnModel& model, std::size_t g,
-    const std::vector<std::optional<Message>>& features);
+/// One tier's verdict on one sample: what a served Decision frame carries.
+struct TierDecision {
+  int exit_taken = -1;          // -1: no verdict
+  std::int64_t prediction = -1;
+  double entropy = 1.0;
+  /// Bytes this tier and the tiers above it delivered for the sample.
+  std::int64_t bytes = 0;
+  bool degraded = false;
+};
 
-/// Raw-offload fallback shared by the simulator and the served cloud: run
-/// the full network on delivered raw views (indexed by model branch).
-/// Returns the final [1, C] scores.
-Tensor cloud_forward_from_raw_views(
-    core::DdnnModel& model, const std::vector<std::optional<Message>>& raws);
+/// A tier above the devices that runs in another process (dist/serve.cpp
+/// implements it over SocketTransport; tests substitute fakes). The runtime
+/// first sends the tier its messages over the transport, then asks it to
+/// decide.
+class RemoteTier {
+ public:
+  virtual ~RemoteTier() = default;
+  /// False once the tier has stopped answering: the runtime then routes
+  /// around it for the rest of the run.
+  virtual bool up() const = 0;
+  /// Decide `sample` from `delivered`, the messages that reached the tier
+  /// (a socket peer already holds them). nullopt: the tier did not answer.
+  virtual std::optional<TierDecision> classify(std::int64_t sample,
+                                               ClassifyMode mode,
+                                               const Messages& delivered,
+                                               const TraceContext& ctx) = 0;
+};
+
+/// Where the tiers above the devices run: null means in-process.
+struct RemoteTiers {
+  RemoteTier* edge = nullptr;
+  RemoteTier* cloud = nullptr;
+};
 
 /// Aggregate statistics over a run.
 struct RuntimeMetrics {
@@ -131,11 +169,10 @@ struct RuntimeMetrics {
   }
 };
 
-/// The one writer of a run's accounting, shared by the simulator
-/// (HierarchyRuntime) and the served driver (drive_hierarchy), so both paths
-/// book the same RuntimeMetrics, registry metrics and series columns. It
-/// owns the run's RuntimeMetrics window and, when bound, the registry
-/// handles and series column ids. One entry point per event:
+/// The one writer of a HierarchyRuntime's accounting, in the simulator and
+/// the served driver alike. It owns the run's RuntimeMetrics window and,
+/// when bound, the registry handles and series column ids. One entry point
+/// per event:
 ///   * send()   — one reliable send: retries, drops, timeouts and delivered
 ///                bytes, into the trace and every bound sink;
 ///   * sample() — one finished sample: exit, correct, degraded, dead, total
@@ -214,9 +251,11 @@ class HierarchyRuntime {
  public:
   /// `thresholds`: one normalized-entropy threshold per non-final exit.
   /// `device_map` maps model branches to dataset device ids (as in
-  /// core::train_ddnn).
+  /// core::train_ddnn). `remote` names the tiers that run in other
+  /// processes; a runtime with a remote tier serves at most one edge group.
   HierarchyRuntime(core::DdnnModel& model, std::vector<double> thresholds,
-                   std::vector<int> device_map, RuntimeConfig config = {});
+                   std::vector<int> device_map, RuntimeConfig config = {},
+                   RemoteTiers remote = {});
   // The book keys its links by address: the runtime stays where it is built.
   HierarchyRuntime(const HierarchyRuntime&) = delete;
   HierarchyRuntime& operator=(const HierarchyRuntime&) = delete;
@@ -239,7 +278,8 @@ class HierarchyRuntime {
   /// Route every send through `transport` (not owned; null restores the
   /// builtin SimTransport). The installed fault injector follows the active
   /// transport, so set_fault_plan/clear_fault_plan keep working across
-  /// swaps.
+  /// swaps. The transport also sets the clock (Transport::measures_time):
+  /// modelled costs on the simulator, measured wall time on sockets.
   void set_transport(Transport* transport);
   Transport& transport() {
     return transport_ != nullptr ? *transport_ : sim_transport_;
@@ -253,6 +293,17 @@ class HierarchyRuntime {
   /// Classify a whole sample set (convenience; updates metrics).
   RuntimeMetrics run(const std::vector<data::MvmcSample>& samples);
 
+  /// The served roles' entry points: decide `sample` from the messages the
+  /// tier below delivered, under the caller's trace context. edge_step runs
+  /// the edge trunk, the coordinator fuse, then the edge exit or the
+  /// escalation to the cloud tier; cloud_step runs the cloud for `mode`.
+  /// The verdict's bytes count what this process and the tiers above
+  /// delivered for the sample.
+  TierDecision edge_step(std::int64_t sample, const Messages& features,
+                         const TraceContext& ctx);
+  TierDecision cloud_step(std::int64_t sample, ClassifyMode mode,
+                          Messages msgs, const TraceContext& ctx);
+
   const RuntimeMetrics& metrics() const { return book_.metrics(); }
 
   /// Clear metrics and link stats, and rewind the fault timeline to sample
@@ -260,21 +311,25 @@ class HierarchyRuntime {
   /// are bit-identical.
   void reset_metrics();
 
-  /// Attach a span tracer (not owned; null detaches). Every subsequent
-  /// classify() appends one span tree — a root "sample" span on track 0 plus
-  /// per-tier child spans (device_section, send:*, gateway_fuse, edge_trunk,
-  /// edge_exit_fuse, cloud_classify) — stamped with the *simulated* clock:
-  /// span start times are offsets on a run timeline where sample k begins at
-  /// the sum of the previous samples' latencies. Traces are therefore a pure
-  /// function of (model, data, fault plan) and byte-identical across reruns.
-  /// Track names for the hierarchy are registered on attach.
+  /// Attach a span tracer (not owned; null detaches) and name the tracks of
+  /// every in-process tier. Every subsequent classify() appends one span
+  /// tree — a root "sample" span on track 0 plus per-tier child spans
+  /// (device_section, send:*, gateway_fuse, edge_trunk, edge_exit_fuse,
+  /// cloud_classify) — on the transport's clock. On the simulator that is
+  /// the *simulated* clock: sample k begins at the sum of the previous
+  /// samples' latencies, so traces are a pure function of (model, data,
+  /// fault plan) and byte-identical across reruns. On a measuring transport
+  /// spans are wall seconds since attach (exported as the epoch_s meta),
+  /// and those of a sample with a distributed trace context carry its
+  /// sample_index, trace_id and parent_span. Set the transport first.
   void set_tracer(obs::SpanTracer* tracer);
 
   /// Bind a metrics registry (not owned; null unbinds). The runtime's
   /// RunBook registers every runtime.* metric and the link.<name>.* counters
-  /// of every hierarchy link here, once, so the export order is stable no
-  /// matter which path the first sample takes; classify() then books each
-  /// send and sample into it (see RunBook::bind_metrics for the names).
+  /// of every hop into an in-process tier here, once, so the export order is
+  /// stable no matter which path the first sample takes; classify() then
+  /// books each send and sample into it (see RunBook::bind_metrics for the
+  /// names). A hop into a remote tier is booked by the transport carrying it.
   void bind_metrics(obs::MetricsRegistry* registry) {
     book_.bind_metrics(registry);
   }
@@ -309,15 +364,71 @@ class HierarchyRuntime {
   }
 
  private:
+  /// One sample's pass through the tiers this process runs.
+  struct Pass {
+    std::int64_t sidx = 0;
+    TraceContext ctx;      // zero: no distributed trace (the simulator)
+    bool wall = false;     // charge measured wall time, not modelled costs
+    double t0 = 0.0;       // wall clock at the start (wall mode)
+    double base = 0.0;     // the sample's start on the trace timeline
+    InferenceTrace trace;
+    std::vector<bool> alive;  // by branch: devices that sensed the sample
+
+    /// A stage's start: the wall clock, or 0 when costs are modelled.
+    double now() const;
+    /// What a stage that began at `start` costs: measured, or `modelled`.
+    double charge(double start, double modelled) const;
+  };
+  Pass begin(std::int64_t sidx, const TraceContext& ctx);
+  InferenceTrace commit(Pass& p, std::int64_t label, const TierDecision& d);
+
+  // The ladder's steps, one per tier. A verdict with exit_taken -1 means
+  // nothing reached the cloud: the caller falls back to raw offload.
+  bool sense(Pass& p, const data::MvmcSample& sample);
+  std::optional<TierDecision> gateway_exit(Pass& p);
+  Messages send_features(Pass& p, const std::vector<bool>& dark);
+  TierDecision run_edge(Pass& p, const Messages& features,
+                        const std::vector<bool>& dark);
+  Messages to_cloud(Pass& p, const std::vector<bool>& dark,
+                    const std::vector<bool>& active, const Messages& features);
+  /// Edge group `g`'s section, run at the cloud on whatever member features
+  /// reached it (nullopt when none did): the edge-outage fallback.
+  std::optional<Message> edge_at_cloud(std::size_t g,
+                                       const Messages& features);
+  /// The raw-offload fallback: the features each delivered raw view would
+  /// have put on the cloud's branches.
+  Messages raw_at_cloud(const Messages& raws);
+  TierDecision cloud(Pass& p, ClassifyMode mode, Messages& msgs);
+  TierDecision run_cloud(Pass& p, ClassifyMode mode, Messages& msgs);
+  TierDecision raw_offload(Pass& p);
+  std::optional<TierDecision> ask(RemoteTier& tier, Pass& p, ClassifyMode mode,
+                                  const Messages& msgs);
+
+  /// Every alive device sends the message `make(device)` over
+  /// `route(branch)`; returns the delivered messages, by branch.
+  template <typename Make, typename Route>
+  Messages from_devices(Pass& p, Make make, Route route, bool colocated,
+                        const char* span_name);
+  /// Send items_ as one stage of parallel sends — from devices, or from
+  /// edges (`from_edge`; their book branch is -1) — booking each, recording
+  /// its span, and raising `stage` to the stage's critical path. A
+  /// colocated hop is delivered at once with zero wire latency; its bytes
+  /// still cross the Link. results_ holds the outcomes.
+  void send_items(Pass& p, bool from_edge, bool colocated,
+                  const char* span_name, double t_off, double& stage);
+  /// A child span of the current sample, stamped with its distributed trace
+  /// context when it has one.
+  obs::Span& span(const Pass& p, const char* name, const char* cat, int track,
+                  double start, double dur);
+
   core::DdnnModel& model_;
   std::vector<double> thresholds_;
   std::vector<int> device_map_;
   RuntimeConfig config_;
+  RemoteTiers remote_;
 
   std::vector<DeviceNode> devices_;
-  std::optional<GatewayNode> gateway_;
   std::vector<EdgeNode> edges_;
-  CloudNode cloud_;
 
   // Device -> gateway (class scores) and device -> edge/cloud (features).
   std::vector<Link> dev_gateway_links_;
@@ -328,15 +439,20 @@ class HierarchyRuntime {
   // Device -> cloud fallback links (edge configurations only).
   std::vector<Link> dev_cloud_links_;
 
-  RunBook book_;  // books every link above, by address
+  RunBook book_;  // books the links above that end in-process, by address
   std::optional<FaultInjector> injector_;
   std::int64_t sample_index_ = 0;  // fault-timeline clock
+  std::uint64_t run_nonce_ = 0;  // see trace_id_of
 
   /// Default transport (the simulator path) and the active override.
   SimTransport sim_transport_;
   Transport* transport_ = nullptr;  // not owned; null = sim_transport_
+  /// Reused per-stage send buffers: a sample allocates none of its own.
+  std::vector<Transport::BatchItem> items_;
+  std::vector<SendResult> results_;
 
   obs::SpanTracer* tracer_ = nullptr;  // not owned
+  double epoch_ = 0.0;  // wall-clock origin of measured traces
 
   // Trace track layout: 0 = samples, then devices, gateway, edges,
   // edge-exit coordinator, cloud.

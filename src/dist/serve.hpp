@@ -1,27 +1,23 @@
-// `ddnn serve`: the simulated hierarchy as real device/edge/cloud processes.
+// `ddnn serve`: the hierarchy as real device/edge/cloud processes.
 //
-// The simulator (dist/runtime.hpp) executes every tier in one process with a
-// simulated clock; this header runs the SAME partitioned model as separate
-// OS processes connected by SocketTransport frames (dist/transport.hpp):
+//   driver (devices + gateway) ──► edge process ──► cloud process
+//      feature frames + Classify     edge step         cloud step
+//      ◄─────────── Decision ◄──── relay ◄─────────────┘
 //
-//   driver (device role)          edge process           cloud process
-//   ── DeviceNodes + gateway ──►  EdgeNode trunk/exit ─► CloudNode classify
-//      feature frames + Classify     escalation             Decision
-//      ◄─────────── Decision ◄──── relay ◄──────────────────┘
+// Every role runs a HierarchyRuntime over SocketTransport frames
+// (dist/transport.hpp): the driver's classify() reaches the edge and the
+// cloud as remote tiers, the edge process runs the edge step with the cloud
+// as its remote tier, and the cloud runs the cloud step. The route ladder
+// is therefore the simulator's own, and a loopback run reproduces `ddnn
+// simulate`'s per-sample exits, predictions, entropies and bytes (the
+// serve_loopback_e2e and test_serve checks); only latency, measured on the
+// wall clock, differs.
 //
-// The simulator stays the oracle: per-sample exits, predictions, entropies
-// and delivered bytes are bit-identical between `ddnn simulate` and a
-// loopback 3-process `ddnn serve` run on the same model + samples (proven
-// by the serve_loopback_e2e CTest) — the codecs are lossless, the plan
-// engine is deterministic, and both paths share decide_exit() and the
-// degradation helpers. Only latency differs: serve measures wall clock.
-//
-// Degradation mirrors the simulator's ladder with real failures instead of
-// injected ones: an edge that never ACKs (down, or started with
-// --blackhole) routes device features straight to the cloud, which runs the
-// edge section itself (mode kEdgeAtCloud); a cloud that cannot be fed
-// features receives quantized raw views (mode kRawOffload); a sample no
-// tier can classify yields the same flagged dead trace (exit_taken = -1).
+// Degradation uses real failures instead of injected ones: an edge that
+// never answers (down, or started with --blackhole) takes the outage route
+// from then on, its devices' features going straight to the cloud (mode
+// kEdgeAtCloud); a cloud that no feature reached gets raw views (mode
+// kRawOffload); a sample no tier can classify is a flagged dead trace.
 #pragma once
 
 #include <string>
@@ -35,13 +31,6 @@
 #include "obs/trace.hpp"
 
 namespace ddnn::dist {
-
-/// How the cloud/edge should interpret a Classify request's stored frames.
-enum class ClassifyMode : std::uint8_t {
-  kNormal = 0,      ///< features from the tier directly below
-  kEdgeAtCloud = 1, ///< device features; cloud runs the edge section itself
-  kRawOffload = 2,  ///< raw views; cloud runs the whole network
-};
 
 struct ServeOptions {
   /// Servers: TCP listen port (0 = OS-assigned ephemeral port) and an
@@ -83,21 +72,20 @@ struct ServeOptions {
   obs::MetricsRegistry* metrics = nullptr;    // not owned
 };
 
-/// Run the cloud tier: listen, ACK feature/raw frames, answer Classify
-/// requests with Decision frames (running the edge section or the whole
-/// network itself for the degraded modes). Returns a process exit code.
+/// Run the cloud tier: listen, ACK feature/raw frames, answer each Classify
+/// request with the Decision of HierarchyRuntime::cloud_step. Returns a
+/// process exit code.
 int serve_cloud(core::DdnnModel& model, const ServeOptions& opts);
 
-/// Run the edge tier: ACK device feature frames, run the edge trunk + fused
-/// edge exit on Classify, escalate undecided samples to the cloud and relay
-/// its Decision (adding the bytes this tier sent upstream).
+/// Run the edge tier: ACK device feature frames, answer each Classify
+/// request with the Decision of HierarchyRuntime::edge_step, which reaches
+/// the cloud as a remote tier.
 int serve_edge(core::DdnnModel& model, const ServeOptions& opts);
 
-/// The device tier doubles as the driver: hosts the DeviceNodes and the
-/// gateway fuse locally (they are colocated in the paper's deployment too),
-/// streams escalations over real sockets, and collects one InferenceTrace
-/// per sample — the same struct the simulator produces, with wall-clock
-/// latency.
+/// The device tier doubles as the driver: a HierarchyRuntime whose edge and
+/// cloud are remote tiers, classifying every sample — the devices and the
+/// gateway run here, colocated as in the paper's deployment — into the
+/// same InferenceTrace the simulator produces, with wall-clock latency.
 struct DriveResult {
   RuntimeMetrics metrics;
   std::vector<InferenceTrace> traces;

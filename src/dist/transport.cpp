@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <chrono>
@@ -118,6 +119,14 @@ void LinkCounters::book(const SendResult& res,
 SimTransport::SimTransport(ReliabilityConfig config)
     : config_(std::move(config)) {
   config_.validate();
+}
+
+void Transport::send_batch(const std::vector<BatchItem>& items,
+                           std::vector<SendResult>& results) {
+  results.clear();
+  for (const BatchItem& item : items) {
+    results.push_back(send(*item.link, *item.msg, item.sample));
+  }
 }
 
 SendResult SimTransport::send(Link& link, const Message& msg,
@@ -611,24 +620,18 @@ void SocketTransport::attach(const std::string& channel,
   register_channel_metrics(channel, ch);
 }
 
-void SocketTransport::detach(const std::string& channel) {
-  channels_.erase(channel);
-}
-
-bool SocketTransport::attached(const std::string& channel) const {
-  return find(channel) != nullptr;
-}
-
-std::shared_ptr<FrameConn> SocketTransport::conn(
-    const std::string& channel) const {
-  const Channel* ch = find(channel);
-  return ch != nullptr ? ch->conn : nullptr;
-}
-
 bool SocketTransport::channel_down(const std::string& channel) const {
   const Channel* ch = find(channel);
   return ch == nullptr || ch->down || ch->conn == nullptr ||
          ch->conn->closed();
+}
+
+bool SocketTransport::peer_down(const std::string& channel) const {
+  if (channel_down(channel)) return true;
+  const FrameConn* conn = find(channel)->conn.get();
+  return std::any_of(channels_.begin(), channels_.end(), [&](const auto& c) {
+    return c.second.conn.get() == conn && c.second.down;
+  });
 }
 
 SocketTransport::Channel* SocketTransport::find(const std::string& channel) {
@@ -696,9 +699,9 @@ SendResult SocketTransport::send(Link& link, const Message& msg,
   return send_batch(one)[0];
 }
 
-std::vector<SendResult> SocketTransport::send_batch(
-    const std::vector<BatchItem>& items) {
-  std::vector<SendResult> results(items.size());
+void SocketTransport::send_batch(const std::vector<BatchItem>& items,
+                                 std::vector<SendResult>& results) {
+  results.assign(items.size(), SendResult{});
   std::vector<Frame> frames(items.size());
   std::vector<Channel*> routed(items.size(), nullptr);
   std::set<FrameConn*> touched;
@@ -768,7 +771,6 @@ std::vector<SendResult> SocketTransport::send_batch(
     ch->metrics.book(res, item.msg->payload_bytes());
     results[i] = res;
   }
-  return results;
 }
 
 bool SocketTransport::post(const std::string& channel, const Frame& frame) {

@@ -46,10 +46,10 @@ namespace ddnn::dist {
 
 /// Per-link reliability counters, link.<name>.{attempts,retries,timeouts,
 /// bytes}: the breakdown `ddnn report` shows by link on any transport. One
-/// helper registers them for both writers — dist::RunBook books the links
-/// it was built with, SocketTransport its socket channels (the edge role
-/// has no book). Default-constructed (all null) means unbound, and book()
-/// is then a no-op.
+/// helper registers them for both writers — dist::RunBook books the hops
+/// into in-process tiers, SocketTransport the socket channels into remote
+/// ones. Default-constructed (all null) means unbound, and book() is then
+/// a no-op.
 struct LinkCounters {
   obs::Counter* attempts = nullptr;
   obs::Counter* retries = nullptr;
@@ -65,6 +65,16 @@ struct LinkCounters {
 
 // ------------------------------------------------------------- interface
 
+/// Cross-process trace identity carried by every data and Classify frame:
+/// which distributed trace a hop belongs to (`trace_id`, one per sample run)
+/// and which driver span caused it (`parent_span`). Zero means "untraced".
+/// Ids are kept within 48 bits so JSON consumers that parse numbers as
+/// doubles (Perfetto, python json) round-trip them exactly.
+struct TraceContext {
+  std::uint64_t trace_id = 0;
+  std::uint64_t parent_span = 0;
+};
+
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -76,6 +86,31 @@ class Transport {
   /// (socket).
   virtual SendResult send(Link& link, const Message& msg,
                           std::int64_t sample_index) = 0;
+
+  /// One message of a batched send, with the routing metadata its frame
+  /// carries.
+  struct BatchItem {
+    Link* link = nullptr;
+    const Message* msg = nullptr;
+    std::int64_t sample = 0;
+    std::int32_t branch = 0;
+    TraceContext trace;
+  };
+  /// Send every item, results[i] answering items[i]. The default sends them
+  /// one by one; SocketTransport queues them all, flushes each connection
+  /// once and collects the pipelined ACKs.
+  virtual void send_batch(const std::vector<BatchItem>& items,
+                          std::vector<SendResult>& results);
+  std::vector<SendResult> send_batch(const std::vector<BatchItem>& items) {
+    std::vector<SendResult> results;
+    send_batch(items, results);
+    return results;
+  }
+
+  /// Whether SendResult latencies are measured wall time (real networks) or
+  /// modelled (the simulator). The runtime charges compute the same way:
+  /// measured durations here, RuntimeConfig's fixed costs otherwise.
+  virtual bool measures_time() const { return false; }
 
   /// Runtime notification that the fault oracle changed (null = cleared).
   /// Real-network transports ignore this: their faults are injected by the
@@ -132,7 +167,7 @@ enum class FrameKind : std::uint8_t {
   kHello = 1,     ///< handshake: role + model signature; peer echoes
   kAck = 2,       ///< delivery ack; seq echoes the acked data frame
   kClassify = 3,  ///< "decide this sample": [i64 sample][u8 mode]
-  kDecision = 4,  ///< exit decision for a sample (see DecisionPayload)
+  kDecision = 4,  ///< a tier's verdict on a sample (dist::TierDecision)
   kBye = 5,       ///< orderly shutdown
   kStats = 6,     ///< live telemetry poll; reply payload = metrics JSON
   kHealth = 7,    ///< SLO health poll; reply payload = health JSON
@@ -209,16 +244,6 @@ class PayloadReader {
   std::size_t n_;
   std::size_t pos_ = 0;
   const char* what_;
-};
-
-/// Cross-process trace identity carried by every data and Classify frame:
-/// which distributed trace a hop belongs to (`trace_id`, one per sample run)
-/// and which driver span caused it (`parent_span`). Zero means "untraced".
-/// Ids are kept within 48 bits so JSON consumers that parse numbers as
-/// doubles (Perfetto, python json) round-trip them exactly.
-struct TraceContext {
-  std::uint64_t trace_id = 0;
-  std::uint64_t parent_span = 0;
 };
 
 /// Wrap a Message (+ routing metadata) into a data frame / unwrap it back.
@@ -309,15 +334,15 @@ class SocketTransport : public Transport {
   explicit SocketTransport(ReliabilityConfig config = {});
 
   void attach(const std::string& channel, std::shared_ptr<FrameConn> conn);
-  void detach(const std::string& channel);
-  bool attached(const std::string& channel) const;
-  std::shared_ptr<FrameConn> conn(const std::string& channel) const;
 
   /// Fail sends on a channel immediately after its first undelivered send
   /// (circuit breaker), instead of waiting out the timeout ladder every
   /// sample. Off by default.
   void set_fail_fast(bool on) { fail_fast_ = on; }
   bool channel_down(const std::string& channel) const;
+  /// channel_down() for `channel` or any channel sharing its connection:
+  /// whether the peer behind it has stopped answering.
+  bool peer_down(const std::string& channel) const;
 
   /// Register per-channel `link.<name>.*` counters (attempts/retries/
   /// timeouts/bytes) plus breaker health (`transport.breaker_trips`,
@@ -334,17 +359,13 @@ class SocketTransport : public Transport {
   SendResult send(Link& link, const Message& msg,
                   std::int64_t sample_index) override;
   const char* name() const override { return "socket"; }
+  bool measures_time() const override { return true; }
 
   /// Batched uplink flush: queue every frame first (one buffered write
   /// burst per connection), then collect the pipelined ACKs in order.
-  struct BatchItem {
-    Link* link = nullptr;
-    const Message* msg = nullptr;
-    std::int64_t sample = 0;
-    std::int32_t branch = 0;
-    TraceContext trace;
-  };
-  std::vector<SendResult> send_batch(const std::vector<BatchItem>& items);
+  using Transport::send_batch;
+  void send_batch(const std::vector<BatchItem>& items,
+                  std::vector<SendResult>& results) override;
 
   /// Fire a control frame down a channel (no ACK semantics). Returns false
   /// when the channel is unattached/down or the flush times out.

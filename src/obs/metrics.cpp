@@ -184,7 +184,7 @@ void Histogram::reset() {
 // ----------------------------------------------------------- MetricsRegistry
 
 MetricsRegistry::Entry& MetricsRegistry::find_or_create(
-    const std::string& name, Kind kind) {
+    const std::string& name, Kind kind, double lo, double hi, int bins) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = index_.find(name);
   if (it != index_.end()) {
@@ -196,27 +196,32 @@ MetricsRegistry::Entry& MetricsRegistry::find_or_create(
   auto entry = std::make_unique<Entry>();
   entry->name = name;
   entry->kind = kind;
+  switch (kind) {
+    case Kind::kCounter: entry->counter = std::make_unique<Counter>(); break;
+    case Kind::kGauge: entry->gauge = std::make_unique<Gauge>(); break;
+    case Kind::kHistogram:
+      entry->histogram = std::make_unique<Histogram>(lo, hi, bins);
+      break;
+    case Kind::kHdrHistogram:
+      entry->hdr = std::make_unique<HdrHistogram>(lo, hi);
+      break;
+  }
   index_.emplace(name, entries_.size());
   entries_.push_back(std::move(entry));
   return *entries_.back();
 }
 
 Counter& MetricsRegistry::counter(const std::string& name) {
-  Entry& e = find_or_create(name, Kind::kCounter);
-  if (!e.counter) e.counter = std::make_unique<Counter>();
-  return *e.counter;
+  return *find_or_create(name, Kind::kCounter).counter;
 }
 
 Gauge& MetricsRegistry::gauge(const std::string& name) {
-  Entry& e = find_or_create(name, Kind::kGauge);
-  if (!e.gauge) e.gauge = std::make_unique<Gauge>();
-  return *e.gauge;
+  return *find_or_create(name, Kind::kGauge).gauge;
 }
 
 Histogram& MetricsRegistry::histogram(const std::string& name, double lo,
                                       double hi, int bins) {
-  Entry& e = find_or_create(name, Kind::kHistogram);
-  if (!e.histogram) e.histogram = std::make_unique<Histogram>(lo, hi, bins);
+  Entry& e = find_or_create(name, Kind::kHistogram, lo, hi, bins);
   const Histogram& h = *e.histogram;
   DDNN_CHECK(h.lo() == lo && h.hi() == hi && h.bins() == bins,
              "histogram '" << name << "' already registered with layout ["
@@ -228,8 +233,7 @@ Histogram& MetricsRegistry::histogram(const std::string& name, double lo,
 
 HdrHistogram& MetricsRegistry::hdr_histogram(const std::string& name,
                                              double unit, double max_value) {
-  Entry& e = find_or_create(name, Kind::kHdrHistogram);
-  if (!e.hdr) e.hdr = std::make_unique<HdrHistogram>(unit, max_value);
+  Entry& e = find_or_create(name, Kind::kHdrHistogram, unit, max_value);
   DDNN_CHECK(e.hdr->unit() == unit && e.hdr->max_value() == max_value,
              "hdr histogram '" << name << "' already registered with unit "
                                << e.hdr->unit() << ", max "

@@ -167,7 +167,11 @@ class MetricsRegistry {
     std::unique_ptr<HdrHistogram> hdr;
   };
 
-  Entry& find_or_create(const std::string& name, Kind kind);
+  /// Get-or-create under mu_: a new entry's metric is built inside the
+  /// lock (histograms from lo/hi/bins, HDR ones from lo = unit and hi =
+  /// max_value), so threads first requesting one name share one object.
+  Entry& find_or_create(const std::string& name, Kind kind, double lo = 0.0,
+                        double hi = 0.0, int bins = 0);
 
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<Entry>> entries_;          // registration order

@@ -11,7 +11,7 @@
 // appear in traces or metrics exports that carry the determinism contract
 // (docs/ARCHITECTURE.md "Observability"). When profiling is disabled a hook
 // costs one relaxed atomic load and a predictable branch — measured < 2%
-// on the bench_kernels device_section (the acceptance bar).
+// of a device section's time (the acceptance bar).
 //
 // Recording is sharded per thread (same scheme as obs::Counter), so pool
 // workers never contend on a cache line.

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <memory>
 #include <thread>
@@ -74,6 +75,41 @@ TEST(MetricsRegistry, JsonIsByteStableAndOrderedByRegistration) {
   EXPECT_NE(json.find("\"value\": 7"), std::string::npos);
   // %.17g round-trips the gauge exactly.
   EXPECT_NE(json.find("0.10000000000000001"), std::string::npos);
+}
+
+TEST(MetricsRegistry, ConcurrentFirstRequestsShareOneMetric) {
+  // Eight threads request each name for the first time at once, behind a
+  // start barrier: every kind must hand all of them the same object.
+  obs::MetricsRegistry reg;
+  constexpr int kThreads = 8;
+  struct Got {
+    obs::Counter* counter = nullptr;
+    obs::Gauge* gauge = nullptr;
+    obs::Histogram* histogram = nullptr;
+    obs::HdrHistogram* hdr = nullptr;
+  };
+  std::vector<Got> got(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      got[t].counter = &reg.counter("race.counter");
+      got[t].gauge = &reg.gauge("race.gauge");
+      got[t].histogram = &reg.histogram("race.histogram", 0.0, 10.0, 5);
+      got[t].hdr = &reg.hdr_histogram("race.hdr", 1e-3, 1e3);
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (const Got& g : got) {
+    EXPECT_EQ(g.counter, got[0].counter);
+    EXPECT_EQ(g.gauge, got[0].gauge);
+    EXPECT_EQ(g.histogram, got[0].histogram);
+    EXPECT_EQ(g.hdr, got[0].hdr);
+  }
+  EXPECT_EQ(reg.size(), 4u);
 }
 
 TEST(MetricsRegistry, NameReuseWithDifferentTypeThrows) {
