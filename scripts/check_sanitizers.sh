@@ -10,8 +10,8 @@
 # ThreadSanitizer build runs test_engine, test_obs, test_timeseries,
 # test_planner and test_serve with a four-thread pool: the threaded kernels,
 # their per-thread scratch and the double-checked packed-weight cache; the
-# counter, histogram and HDR shard merges across pool workers, the exemplar
-# CAS and concurrent metric registration; concurrent ledger appenders; the
+# counter and HDR shard merges across pool workers, the exemplar CAS and
+# concurrent metric registration; concurrent ledger appenders; the
 # retired-section log that pool workers read while the caller destroys
 # models; and three serving roles sharing one process.
 #

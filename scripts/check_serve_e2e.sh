@@ -74,15 +74,21 @@ obs_flags() {
   fi
 }
 
-# The driver's export carries the simulator's three sample histograms;
-# check_trace.py --served reconciles the HDR one against the sample spans.
+# The driver's export carries the simulator's two sample distributions as
+# HDR histograms; check_trace.py --served reconciles the latency one against
+# the sample spans. No role may export the removed fixed-bin type.
 require_driver_histograms() {
-  for name in runtime.sample_latency_ms runtime.hdr_latency_ms \
-    runtime.sample_bytes; do
-    grep -q "\"name\": \"${name}\"" "$1" || {
-      echo "error: $1 lacks ${name}" >&2
+  for name in runtime.hdr_latency_ms runtime.sample_bytes; do
+    grep -q "\"name\": \"${name}\", \"type\": \"hdr\"" "$1" || {
+      echo "error: $1 lacks ${name} as an hdr histogram" >&2
       exit 1
     }
+  done
+  for f in "${work}"/*_metrics.json; do
+    if grep -q '"type": "histogram"' "${f}"; then
+      echo "error: ${f} exports a fixed-bin histogram" >&2
+      exit 1
+    fi
   done
 }
 

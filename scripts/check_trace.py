@@ -47,15 +47,13 @@ integer equality, no tolerance. The series is recorded at each sample's
 simulated start time by the same single-threaded loop that bumps the
 counters, so the window deltas must partition the totals.
 
-Tail reconciliation (same flag): every histogram/hdr series column family
-(<name>.n / <name>.max) whose base name resolves to a histogram or hdr
-metric in the export must agree with it exactly — the .n cells sum to the
-metric's total count, and the largest .max cell over the non-empty windows
-equals the metric's exact max (the extrema keep raw values, so a fixed-bin
-histogram can no longer silently under-report its tail through clamped
-edge bins). Base names resolve directly or through SERIES_ALIASES (the
-runtime series column "runtime.latency_ms" exports the registry histogram
-"runtime.sample_latency_ms").
+Tail reconciliation (same flag): every hdr series column family
+(<name>.n / <name>.max) whose base name is an hdr metric in the export
+must agree with it exactly — the .n cells sum to the metric's total count,
+and the largest .max cell over the non-empty windows equals the metric's
+exact max. When the export holds runtime.hdr_latency_ms or
+fleet.hdr_latency_ms, the series must carry that family's .n and .max
+columns, so a rename on either side fails instead of checking nothing.
 """
 import csv
 import json
@@ -291,17 +289,15 @@ def check_served_hdr(samples, metrics):
     return True
 
 
-# Series column families whose registry metric is registered under a
-# different name. The runtime series predates the registry histogram and
-# kept its shorter column name for dashboard stability.
-SERIES_ALIASES = {"runtime.latency_ms": "runtime.sample_latency_ms"}
+# Latency families the series must reconcile whenever the export has them.
+REQUIRED_TAIL_FAMILIES = ("runtime.hdr_latency_ms", "fleet.hdr_latency_ms")
 
 
 def check_series(series_path, metrics):
     counters = {m["name"]: m["value"] for m in metrics.get("metrics", [])
                 if m.get("type") == "counter"}
     tails = {m["name"]: m for m in metrics.get("metrics", [])
-             if m.get("type") in ("histogram", "hdr")}
+             if m.get("type") == "hdr"}
     try:
         with open(series_path, "r", encoding="utf-8", newline="") as f:
             rows = list(csv.reader(f))
@@ -325,14 +321,18 @@ def check_series(series_path, metrics):
                  f"{len(rows) - 1} windows but the metrics export says "
                  f"{counters[name]}")
         checked += 1
-    # Tail reconciliation: a histogram/hdr column family (<base>.n,
-    # <base>.max) must partition its registry metric — window counts sum to
-    # the total and the window maxima peak at the exact recorded max.
+    # Tail reconciliation: an hdr column family (<base>.n, <base>.max) must
+    # partition its registry metric — window counts sum to the total and the
+    # window maxima peak at the exact recorded max.
+    for base in REQUIRED_TAIL_FAMILIES:
+        if base in tails and not {f"{base}.n", f"{base}.max"} <= set(header):
+            fail(f"{series_path}: metrics export has {base!r} but the series "
+                 f"lacks its {base + '.n'!r}/{base + '.max'!r} columns")
     for col, name in enumerate(header):
         if not name.endswith(".n"):
             continue
         base = name[:-len(".n")]
-        metric = tails.get(SERIES_ALIASES.get(base, base))
+        metric = tails.get(base)
         if metric is None or f"{base}.max" not in header:
             continue
         max_col = header.index(f"{base}.max")

@@ -10,11 +10,6 @@
 
 namespace ddnn::dist {
 
-double percentile_nearest_rank(const std::vector<double>& sorted_ascending,
-                               double q) {
-  return ddnn::percentile_nearest_rank(sorted_ascending, q);
-}
-
 double exponential_from_uniform(double u, double rate_hz) {
   DDNN_CHECK(rate_hz > 0.0, "non-positive arrival rate " << rate_hz);
   // Clamp u away from 1: -log(1 - 1) is +inf, which would freeze the
@@ -193,7 +188,6 @@ struct FleetSeries {
   int escalated = -1;
   int dead = -1;
   int shed = -1;
-  int latency_ms = -1;
   int hdr_latency_ms = -1;
   int queue_depth = -1;
   std::vector<int> station_queue;  // per-station queue gauge, cloud last
@@ -255,7 +249,6 @@ FleetStats simulate_fleet(const std::vector<InferenceTrace>& traces,
     fs.dead = series->add_counter("fleet.dead");
     fs.shed = series->add_counter("fleet.shed");
     series->add_rate("fleet.throughput_hz", fs.completed);
-    fs.latency_ms = series->add_histogram("fleet.latency_ms");
     fs.hdr_latency_ms =
         series->add_hdr("fleet.hdr_latency_ms", kHdrUnitMs, kHdrMaxMs);
     fs.queue_depth = series->add_gauge("fleet.queue_depth");
@@ -508,7 +501,6 @@ FleetStats simulate_fleet(const std::vector<InferenceTrace>& traces,
           tick(fs.escalated, now, 1.0);
         }
         const double latency_ms = 1e3 * latency;
-        tick(fs.latency_ms, now, latency_ms);
         hdr.record(latency_ms, ev.job.trace_id, ev.job.index);
         if (fs.series != nullptr) {
           fs.series->record(fs.hdr_latency_ms, now, latency_ms,

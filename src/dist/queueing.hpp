@@ -65,14 +65,6 @@ struct QueueingStats {
   double cloud_utilization = 0.0;
 };
 
-/// Nearest-rank percentile of an ascending-sorted sample: the value at
-/// index ceil(q * n) - 1 (1-based rank ceil(q * n)). q must be in (0, 1].
-/// Example: n=100, q=0.95 -> index 94 (the 95th value), not 95.
-/// Thin alias for ddnn::percentile_nearest_rank (util/stats.hpp), kept so
-/// queueing call sites and tests read in dist:: vocabulary.
-double percentile_nearest_rank(const std::vector<double>& sorted_ascending,
-                               double q);
-
 /// Inverse-CDF exponential inter-arrival gap from a uniform draw u:
 /// -log(1 - u) / rate_hz, with u clamped below 1 so the gap is always
 /// finite (u == 1 would map to +inf and freeze the arrival clock).
@@ -206,11 +198,10 @@ struct FleetStats {
 /// replaying `traces` cyclically. When `series` is given it must be freshly
 /// constructed (no columns yet); the simulator registers fleet.* columns —
 /// arrivals/completed/local/escalated/dead/shed counters, a
-/// fleet.throughput_hz rate, a fleet.latency_ms histogram, a
-/// fleet.hdr_latency_ms tail column (.n/.p99/.p999/.max), per-station
-/// queue gauges and a fleet.queue_depth gauge — and records every event at
-/// its simulated time, so exports are byte-identical across reruns and
-/// DDNN_THREADS settings.
+/// fleet.throughput_hz rate, a fleet.hdr_latency_ms column
+/// (.n/.p50/.p95/.p99/.p999/.max), per-station queue gauges and a
+/// fleet.queue_depth gauge — and records every event at its simulated time,
+/// so exports are byte-identical across reruns and DDNN_THREADS settings.
 ///
 /// When `registry` is given the simulator additionally publishes a
 /// fleet.hdr_latency_ms HDR histogram (with trace exemplars) and

@@ -197,6 +197,9 @@ constexpr const char* kHdrLatencyName = "runtime.hdr_latency_ms";
 // Microsecond resolution up to an hour of latency.
 constexpr double kHdrUnitMs = 1e-3;
 constexpr double kHdrMaxMs = 3.6e6;
+// Byte resolution up to 1 MiB per sample; larger samples count as overflow
+// and keep the exact max.
+constexpr double kSampleBytesMax = 1048576.0;
 
 }  // namespace
 
@@ -227,13 +230,10 @@ void RunBook::bind_metrics(obs::MetricsRegistry* registry) {
     counters_.push_back(&registry->counter("runtime.exit." + name));
   }
   total_latency_s_ = &registry->gauge("runtime.total_latency_s");
-  latency_ms_ =
-      &registry->histogram("runtime.sample_latency_ms", 0.0, 1000.0, 100);
-  // Tail companion to the fixed-bin histogram, with per-bucket exemplars.
   hdr_latency_ms_ =
       &registry->hdr_histogram(kHdrLatencyName, kHdrUnitMs, kHdrMaxMs);
-  sample_bytes_ =
-      &registry->histogram("runtime.sample_bytes", 0.0, 1048576.0, 64);
+  sample_bytes_ = &registry->hdr_histogram("runtime.sample_bytes", 1.0,
+                                           kSampleBytesMax);
   for (const Link* link : links_) {
     link_counters_.push_back(LinkCounters::bind(*registry, link->name()));
   }
@@ -256,7 +256,6 @@ void RunBook::bind_series(obs::WindowedSeries* series) {
   }
   series->add_ratio("runtime.accuracy", columns_[kCorrect],
                     columns_[kSamples]);
-  latency_col_ = series->add_histogram("runtime.latency_ms");
   hdr_latency_col_ = series->add_hdr(kHdrLatencyName, kHdrUnitMs, kHdrMaxMs);
   for (const Link* link : links_) {
     link_bytes_cols_.push_back(
@@ -327,12 +326,11 @@ void RunBook::sample(const InferenceTrace& trace, std::int64_t label,
   const double latency_ms = trace.latency_s * 1e3;
   if (registry_ != nullptr) {
     total_latency_s_->set(metrics_.total_latency_s);
-    latency_ms_->record(latency_ms);
     hdr_latency_ms_->record(latency_ms, trace.trace_id, sample_index);
-    sample_bytes_->record(static_cast<double>(trace.bytes_sent));
+    sample_bytes_->record(static_cast<double>(trace.bytes_sent),
+                          trace.trace_id, sample_index);
   }
   if (series_ != nullptr) {
-    series_->record(latency_col_, t, latency_ms);
     series_->record(hdr_latency_col_, t, latency_ms, trace.trace_id,
                     sample_index);
   }

@@ -176,8 +176,8 @@ struct RuntimeMetrics {
 ///   * send()   — one reliable send: retries, drops, timeouts and delivered
 ///                bytes, into the trace and every bound sink;
 ///   * sample() — one finished sample: exit, correct, degraded, dead, total
-///                latency, the latency and bytes histograms, and the HDR
-///                latency histogram with the sample's trace exemplar.
+///                latency, and the HDR latency and bytes histograms with
+///                the sample's trace exemplar.
 /// link.<name>.* is booked only for the links the book was built with; a
 /// send on any other link books the runtime.* aggregates alone.
 ///
@@ -192,16 +192,15 @@ class RunBook {
   /// Bind a metrics registry (not owned; null unbinds) and register, once
   /// and in a fixed order: the runtime.* counters (samples, bytes_total,
   /// correct, retries, drops, timeouts, degraded, dead, exit.<name>), the
-  /// runtime.total_latency_s gauge, the runtime.sample_latency_ms
-  /// histogram, the runtime.hdr_latency_ms HDR histogram, the
-  /// runtime.sample_bytes histogram, then each booked link's link.<name>.*
-  /// counters.
+  /// runtime.total_latency_s gauge, the runtime.hdr_latency_ms and
+  /// runtime.sample_bytes HDR histograms, then each booked link's
+  /// link.<name>.* counters.
   void bind_metrics(obs::MetricsRegistry* registry);
   /// Bind a windowed series (not owned; null unbinds) and register its
   /// columns: counters named exactly like the registry counters, per-exit
   /// runtime.exit_frac.<name> and runtime.accuracy ratios, the
-  /// runtime.latency_ms histogram, the runtime.hdr_latency_ms tail column
-  /// and one link.<name>.bytes counter per booked link. Every event is
+  /// runtime.hdr_latency_ms column and one link.<name>.bytes counter per
+  /// booked link. Every event is
   /// recorded at the clock `t` its caller passes.
   void bind_series(obs::WindowedSeries* series);
 
@@ -235,14 +234,12 @@ class RunBook {
   obs::MetricsRegistry* registry_ = nullptr;
   std::vector<obs::Counter*> counters_;  // by slot
   obs::Gauge* total_latency_s_ = nullptr;
-  obs::Histogram* latency_ms_ = nullptr;
   obs::HdrHistogram* hdr_latency_ms_ = nullptr;
-  obs::Histogram* sample_bytes_ = nullptr;
+  obs::HdrHistogram* sample_bytes_ = nullptr;
   std::vector<LinkCounters> link_counters_;  // parallel to links_
 
   obs::WindowedSeries* series_ = nullptr;
   std::vector<int> columns_;  // by slot
-  int latency_col_ = -1;
   int hdr_latency_col_ = -1;
   std::vector<int> link_bytes_cols_;  // parallel to links_
 };

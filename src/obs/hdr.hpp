@@ -4,14 +4,15 @@
 // Values are quantized to integer units (u = floor(v / unit)) and binned
 // into a log-linear layout: the first 128 buckets are exact (one unit
 // each), after which every power of two is split into 128 sub-buckets. A
-// bucket therefore never spans more than 1/128 (~0.78%) of the values it
-// holds, so any percentile read from a bucket's upper edge is within 1% of
-// the true sample percentile — across the whole range up to `max_value`
+// bucket past the exact ones never spans more than 1/128 (~0.78%) of the
+// values it holds, so any percentile read from a bucket's upper edge is
+// within 1% of the true sample percentile, or one unit for values under 128
+// units (the resolution floor) — across the whole range up to `max_value`
 // (hours of latency at millisecond units) with a few thousand buckets, not
 // the millions a fixed-bin histogram would need.
 //
 // Determinism contract (docs/ARCHITECTURE.md "Observability"): recording is
-// sharded per thread exactly like obs::Counter/Histogram; bucket counts sum
+// sharded per thread exactly like obs::Counter; bucket counts sum
 // associatively, extrema are commutative max/min, and the per-bucket
 // exemplar is merged by *smallest sample index* — an order-independent rule,
 // so reads never depend on DDNN_THREADS or recording interleaving. The
@@ -79,7 +80,8 @@ class HdrHistogram {
    public:
     /// Nearest-rank percentile at bucket granularity: the upper edge of the
     /// bucket holding the rank-q sample, clamped to the exact recorded max.
-    /// Relative error vs the true sample percentile is <= 1/kSubBuckets.
+    /// Relative error vs the true sample percentile is <= 1/kSubBuckets,
+    /// plus at most one unit for values under kSubBuckets units.
     /// q in (0, 1]; returns 0 when empty.
     double percentile(double q) const;
     /// Exemplar of the bucket percentile(q) resolves to (invalid when empty

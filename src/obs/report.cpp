@@ -358,13 +358,11 @@ std::string render_series_csv(const std::string& label, const CsvFile& csv) {
   static const std::vector<SeriesGroup> kGroups = {
       {"Exit fractions per window", "runtime.exit_frac.", ""},
       {"Accuracy per window", "runtime.accuracy", ""},
-      {"Sample latency percentiles (ms)", "runtime.latency_ms.p", ""},
       {"Drops / retries / timeouts per window", "runtime.drops", ""},
       {"Per-link bytes per window", "link.", ".bytes"},
       {"Fleet throughput (Hz)", "fleet.throughput_hz", ""},
-      {"Fleet latency percentiles (ms)", "fleet.latency_ms.p", ""},
-      {"Fleet HDR latency tail (ms)", "fleet.hdr_latency_ms.p", ""},
-      {"Runtime HDR latency tail (ms)", "runtime.hdr_latency_ms.p", ""},
+      {"Fleet latency percentiles (ms)", "fleet.hdr_latency_ms.p", ""},
+      {"Runtime latency percentiles (ms)", "runtime.hdr_latency_ms.p", ""},
       {"Fleet outcomes per window", "fleet.completed", ""},
       {"Fleet queue depth", "fleet.queue_depth", ""},
       {"Per-station queue depth", "fleet.station.", ".queue"},
@@ -433,8 +431,8 @@ std::string render_series_csv(const std::string& label, const CsvFile& csv) {
         }
       }
     }
-    if (group.prefix == "runtime.latency_ms.p" ||
-        group.prefix == "fleet.latency_ms.p") {
+    if (group.prefix == "runtime.hdr_latency_ms.p" ||
+        group.prefix == "fleet.hdr_latency_ms.p") {
       for (auto& s : series) s.name = "p" + s.name;
     }
     any_chart = true;

@@ -243,8 +243,7 @@ std::string health_from_metrics(const std::string& metrics_json,
       if (ends_with(name, ".dead")) dead += m.at("value").i;
       continue;
     }
-    if ((type != "histogram" && type != "hdr") ||
-        !ends_with(name, "latency_ms")) {
+    if (type != "hdr" || !ends_with(name, "latency_ms")) {
       continue;
     }
     const std::int64_t n = m.at("count").i;

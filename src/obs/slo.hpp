@@ -124,7 +124,7 @@ class SloEngine {
 
 /// Snapshot health for roles without a deterministic simulated clock
 /// (`ddnn serve`'s kHealth frame): derives per-signal latency states (p99
-/// of every *latency_ms histogram/hdr metric vs the threshold) and an
+/// of every *latency_ms hdr metric vs the threshold) and an
 /// availability state (degraded/dead counters vs total samples) from a
 /// frozen MetricsRegistry JSON export. Output is byte-identical for
 /// identical metrics JSON.

@@ -1,12 +1,10 @@
 #include "obs/timeseries.hpp"
 
-#include <algorithm>
 #include <fstream>
 #include <sstream>
 
 #include "obs/json.hpp"
 #include "util/error.hpp"
-#include "util/stats.hpp"
 
 namespace ddnn::obs {
 
@@ -37,10 +35,6 @@ int WindowedSeries::add_counter(const std::string& name) {
 
 int WindowedSeries::add_gauge(const std::string& name) {
   return add_column(name, Kind::kGauge);
-}
-
-int WindowedSeries::add_histogram(const std::string& name) {
-  return add_column(name, Kind::kHistogram);
 }
 
 int WindowedSeries::add_ratio(const std::string& name, int numerator,
@@ -76,6 +70,13 @@ int WindowedSeries::add_hdr(const std::string& name, double unit,
   return col;
 }
 
+WindowedSeries::HdrCells WindowedSeries::hdr_cells(const HdrHistogram& h) {
+  const HdrHistogram::View v = h.view();
+  return {static_cast<double>(h.count()), v.percentile(0.50),
+          v.percentile(0.95), v.percentile(0.99), v.percentile(0.999),
+          h.max()};
+}
+
 void WindowedSeries::flush_window() {
   for (auto& c : columns_) {
     switch (c.kind) {
@@ -86,22 +87,14 @@ void WindowedSeries::flush_window() {
       case Kind::kGauge:
         c.flushed.push_back(c.has_last ? c.last : 0.0);
         break;
-      case Kind::kHistogram:
-        c.flushed_values.push_back(std::move(c.values));
-        c.values.clear();
-        break;
       case Kind::kRatio:
       case Kind::kRate:
         c.flushed.push_back(0.0);  // derived at export
         break;
-      case Kind::kHdr: {
-        const HdrHistogram::View v = c.hdr->view();
-        c.flushed_hdr.push_back({static_cast<double>(c.hdr->count()),
-                                 v.percentile(0.99), v.percentile(0.999),
-                                 c.hdr->max()});
+      case Kind::kHdr:
+        c.flushed_hdr.push_back(hdr_cells(*c.hdr));
         c.hdr->reset();
         break;
-      }
     }
   }
   ++flushed_windows_;
@@ -138,9 +131,6 @@ void WindowedSeries::record(int col, double t, double value,
       c.last = value;
       c.has_last = true;
       break;
-    case Kind::kHistogram:
-      c.values.push_back(value);
-      break;
     case Kind::kHdr:
       c.hdr->record(value, trace_id, sample_index);
       break;
@@ -161,16 +151,10 @@ std::size_t WindowedSeries::window_count() const {
 std::vector<std::string> WindowedSeries::header() const {
   std::vector<std::string> out{"window", axis_ + "_start", axis_ + "_end"};
   for (const auto& c : columns_) {
-    if (c.kind == Kind::kHistogram) {
-      out.push_back(c.name + ".n");
-      out.push_back(c.name + ".p50");
-      out.push_back(c.name + ".p95");
-      out.push_back(c.name + ".max");
-    } else if (c.kind == Kind::kHdr) {
-      out.push_back(c.name + ".n");
-      out.push_back(c.name + ".p99");
-      out.push_back(c.name + ".p999");
-      out.push_back(c.name + ".max");
+    if (c.kind == Kind::kHdr) {
+      for (const char* cell : {".n", ".p50", ".p95", ".p99", ".p999", ".max"}) {
+        out.push_back(c.name + cell);
+      }
     } else {
       out.push_back(c.name);
     }
@@ -188,19 +172,6 @@ void WindowedSeries::append_cells(std::vector<double>& out, const Column& c,
     case Kind::kGauge:
       out.push_back(live ? (c.has_last ? c.last : 0.0) : c.flushed[w]);
       break;
-    case Kind::kHistogram: {
-      std::vector<double> values = live ? c.values : c.flushed_values[w];
-      std::sort(values.begin(), values.end());
-      out.push_back(static_cast<double>(values.size()));
-      if (values.empty()) {
-        out.insert(out.end(), {0.0, 0.0, 0.0});
-      } else {
-        out.push_back(percentile_nearest_rank(values, 0.50));
-        out.push_back(percentile_nearest_rank(values, 0.95));
-        out.push_back(values.back());
-      }
-      break;
-    }
     case Kind::kRatio: {
       const Column& num = columns_[static_cast<std::size_t>(c.num)];
       const Column& den = columns_[static_cast<std::size_t>(c.den)];
@@ -216,15 +187,8 @@ void WindowedSeries::append_cells(std::vector<double>& out, const Column& c,
       break;
     }
     case Kind::kHdr: {
-      if (live) {
-        const HdrHistogram::View v = c.hdr->view();
-        out.insert(out.end(), {static_cast<double>(c.hdr->count()),
-                               v.percentile(0.99), v.percentile(0.999),
-                               c.hdr->max()});
-      } else {
-        const auto& s = c.flushed_hdr[w];
-        out.insert(out.end(), {s[0], s[1], s[2], s[3]});
-      }
+      const HdrCells cells = live ? hdr_cells(*c.hdr) : c.flushed_hdr[w];
+      out.insert(out.end(), cells.begin(), cells.end());
       break;
     }
   }

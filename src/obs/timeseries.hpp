@@ -6,17 +6,15 @@
 //   * counter   — per-window delta (sum of recorded values);
 //   * gauge     — last value recorded in the window, carried forward across
 //                 empty windows once set;
-//   * histogram — per-window sample set, exported as <name>.n / .p50 / .p95
-//                 / .max (exact nearest-rank over the window's raw values,
-//                 shared with dist::percentile_nearest_rank via util/stats);
 //   * ratio     — derived at export: counter delta / counter delta of the
 //                 same window (0 when the denominator is 0);
 //   * rate      — derived at export: counter delta / window width, i.e. the
 //                 column in clock units per second (a throughput curve);
 //   * hdr       — per-window log-bucketed histogram (obs/hdr.hpp), exported
-//                 as <name>.n / .p99 / .p999 / .max: tail percentiles with
-//                 bounded (≤1/128) relative bucket error and the exact
-//                 window max, without retaining the window's raw values.
+//                 as <name>.n / .p50 / .p95 / .p99 / .p999 / .max:
+//                 nearest-rank percentiles with bounded (≤1/128) relative
+//                 bucket error and the exact window max, without retaining
+//                 the window's raw values.
 //
 // Determinism contract (docs/ARCHITECTURE.md "Observability"): recording is
 // single-writer — the runtime's classify() loop and the trainer's epoch
@@ -28,7 +26,7 @@
 //
 // Windows are half-open [k*width, (k+1)*width) on the recording clock.
 // Export emits every window from 0 through the last recorded one, including
-// empty interior windows (counters 0, gauges carried, histograms n=0) — an
+// empty interior windows (counters 0, gauges carried, hdr columns n=0) — an
 // outage window shows up as a flat-lined row, not a gap in the axis.
 #pragma once
 
@@ -53,7 +51,6 @@ class WindowedSeries {
   /// Registering after the first record() is an error.
   int add_counter(const std::string& name);
   int add_gauge(const std::string& name);
-  int add_histogram(const std::string& name);
   /// Derived column: delta(numerator)/delta(denominator) per window; both
   /// ids must name counter columns.
   int add_ratio(const std::string& name, int numerator, int denominator);
@@ -61,8 +58,9 @@ class WindowedSeries {
   /// counter's rate in events per clock unit. `counter` must name a
   /// counter column.
   int add_rate(const std::string& name, int counter);
-  /// Log-bucketed tail column (obs/hdr.hpp layout): exports .n/.p99/.p999/
-  /// .max per window. `unit`/`max_value` as in HdrHistogram.
+  /// Log-bucketed distribution column (obs/hdr.hpp layout): exports
+  /// .n/.p50/.p95/.p99/.p999/.max per window. `unit`/`max_value` as in
+  /// HdrHistogram.
   int add_hdr(const std::string& name, double unit, double max_value);
 
   /// Record `value` into column `col` at clock `t`. `t` must be >= 0 and
@@ -82,8 +80,8 @@ class WindowedSeries {
   std::size_t window_count() const;
 
   /// Flat header of every exported CSV column, in order: "window",
-  /// "<axis>_start", "<axis>_end", then one entry per column (histograms
-  /// expand to .n/.p50/.p95/.max).
+  /// "<axis>_start", "<axis>_end", then one entry per column (hdr columns
+  /// expand to .n/.p50/.p95/.p99/.p999/.max).
   std::vector<std::string> header() const;
 
   /// Deterministic exports: identical recordings produce byte-identical
@@ -96,28 +94,28 @@ class WindowedSeries {
   void write(const std::string& path) const;
 
  private:
-  enum class Kind { kCounter, kGauge, kHistogram, kRatio, kRate, kHdr };
+  enum class Kind { kCounter, kGauge, kRatio, kRate, kHdr };
+  /// An hdr column's exported cells: n, p50, p95, p99, p999, max.
+  using HdrCells = std::array<double, 6>;
   struct Column {
     std::string name;
     Kind kind;
     int num = -1;  // ratio numerator column id
     int den = -1;  // ratio denominator column id
     // Current-window accumulator state.
-    double sum = 0.0;            // counter
-    double last = 0.0;           // gauge (carried across windows)
-    bool has_last = false;       // gauge ever set
-    std::vector<double> values;  // histogram, this window only
+    double sum = 0.0;       // counter
+    double last = 0.0;      // gauge (carried across windows)
+    bool has_last = false;  // gauge ever set
     std::unique_ptr<HdrHistogram> hdr;  // hdr, reset at each window flush
     // Flushed per-window aggregates, parallel to rows_ windows. Counters
-    // store the window delta, gauges the carried last value, histograms
-    // their per-window raw values (kept for the percentile columns), hdr
-    // columns their {n, p99, p999, max} summary.
+    // store the window delta, gauges the carried last value, hdr columns
+    // their cells.
     std::vector<double> flushed;
-    std::vector<std::vector<double>> flushed_values;
-    std::vector<std::array<double, 4>> flushed_hdr;
+    std::vector<HdrCells> flushed_hdr;
   };
 
   int add_column(const std::string& name, Kind kind);
+  static HdrCells hdr_cells(const HdrHistogram& h);
   void flush_window();  // close the current window and advance
   /// Cells of window w for column c, in export order.
   void append_cells(std::vector<double>& out, const Column& c,

@@ -1,9 +1,10 @@
 // Shared order-statistics helpers.
 //
-// Nearest-rank percentiles appear in three places (dist::QueueingStats,
-// obs::Histogram, obs::WindowedSeries); they must agree wherever their
-// domains overlap (the agreement-grid test in tests/test_obs.cpp), so the
-// rank arithmetic lives here exactly once.
+// Nearest-rank percentiles appear in two places (the exact sorted-sample
+// read behind dist::QueueingStats/FleetStats, and obs::HdrHistogram's
+// bucket read); the HDR read must stay within its relative error bound of
+// the exact one (tests/test_obs.cpp), so the rank arithmetic lives here
+// exactly once.
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <sstream>
@@ -12,6 +13,7 @@
 #include "dist/runtime.hpp"
 #include "tensor/tensor_ops.hpp"
 #include "util/error.hpp"
+#include "util/stats.hpp"
 
 namespace ddnn::dist {
 namespace {
@@ -227,12 +229,9 @@ TEST(RunBook, BooksMetricsRegistryAndSeriesInLockstep) {
   }
   EXPECT_EQ(registry.gauge("runtime.total_latency_s").value(),
             m.total_latency_s);
-  EXPECT_EQ(
-      registry.histogram("runtime.sample_latency_ms", 0.0, 1000.0, 100).count(),
-      3);
-  EXPECT_EQ(
-      registry.histogram("runtime.sample_bytes", 0.0, 1048576.0, 64).count(),
-      3);
+  EXPECT_EQ(registry.hdr_histogram("runtime.sample_bytes", 1.0, 1048576.0)
+                .count(),
+            3);
   const obs::HdrHistogram& hdr =
       registry.hdr_histogram("runtime.hdr_latency_ms", 1e-3, 3.6e6);
   EXPECT_EQ(hdr.count(), 3);
@@ -264,7 +263,6 @@ TEST(RunBook, BooksMetricsRegistryAndSeriesInLockstep) {
   }
   EXPECT_EQ(reconciled, 8 + 3 + 2);  // runtime.*, exits, link bytes
   EXPECT_EQ(sums.count("link.device1->cloud.bytes"), 0u);
-  EXPECT_EQ(sums.at("runtime.latency_ms.n"), 3.0);
   EXPECT_EQ(sums.at("runtime.hdr_latency_ms.n"), 3.0);
 
   // reset() opens a new RuntimeMetrics window; bound sinks keep counting.
@@ -405,6 +403,77 @@ TEST_F(RuntimeFixture, AllDevicesFailedDegradesToDeadTraces) {
   EXPECT_GE(healthy.prediction, 0);
 }
 
+TEST_F(RuntimeFixture, SampleBytesPercentilesResolveMixedExits) {
+  // Regression: runtime.sample_bytes used 16-KiB bins, so every sample fell
+  // in bin 0 and its p50 read back as the max whatever the exit mix.
+  core::DdnnModel model(
+      core::DdnnConfig::preset(core::HierarchyPreset::kDevicesCloud));
+  model.set_training(false);
+  // A threshold at the local exit's 75th-percentile entropy keeps about
+  // three quarters of the samples local and escalates the rest.
+  const auto eval = core::evaluate_exits(model, dataset->test(), devices);
+  std::vector<double> entropies;
+  for (const auto& d : core::apply_policy(eval, {1.0}).decisions) {
+    entropies.push_back(d.entropy);
+  }
+  std::sort(entropies.begin(), entropies.end());
+  HierarchyRuntime runtime(
+      model, {ddnn::percentile_nearest_rank(entropies, 0.75)}, devices);
+  obs::MetricsRegistry registry;
+  runtime.bind_metrics(&registry);
+  std::vector<double> bytes;
+  for (const auto& s : dataset->test()) {
+    bytes.push_back(static_cast<double>(runtime.classify(s).bytes_sent));
+  }
+  std::sort(bytes.begin(), bytes.end());
+  ASSERT_LT(bytes.front(), bytes.back());  // both routes were taken
+
+  const obs::HdrHistogram& h =
+      registry.hdr_histogram("runtime.sample_bytes", 1.0, 1048576.0);
+  const double exact = ddnn::percentile_nearest_rank(bytes, 0.50);
+  const double p50 = h.percentile(0.50);
+  // Samples under 128 bytes sit in one-byte buckets, read at their upper
+  // edge: one unit above the value on top of the relative bound.
+  EXPECT_GE(p50, exact);
+  EXPECT_LE(p50,
+            exact * (1.0 + obs::HdrHistogram::relative_error_bound()) + 1.0);
+  EXPECT_LT(p50, h.max());
+  EXPECT_EQ(h.max(), bytes.back());
+}
+
+TEST_F(RuntimeFixture, MetricsExportHoldsOnlyCountersGaugesAndHdr) {
+  // Every distribution the runtime books is an HDR histogram: the export
+  // carries no fixed-bin "histogram" entry, and the two per-sample
+  // distributions are typed "hdr".
+  core::DdnnModel model(
+      core::DdnnConfig::preset(core::HierarchyPreset::kDevicesCloud));
+  model.set_training(false);
+  HierarchyRuntime runtime(model, {0.5}, devices);
+  obs::MetricsRegistry registry;
+  runtime.bind_metrics(&registry);
+  for (std::size_t i = 0; i < 4; ++i) runtime.classify(dataset->test()[i]);
+
+  const std::string json = registry.to_json();
+  EXPECT_EQ(json.find("\"type\": \"histogram\""), std::string::npos);
+  std::istringstream lines(json);
+  int hdr = 0;
+  for (std::string line; std::getline(lines, line);) {
+    const auto type = line.find("\"type\": \"");
+    if (type == std::string::npos) continue;
+    const bool known = line.find("\"type\": \"counter\"") != line.npos ||
+                       line.find("\"type\": \"gauge\"") != line.npos ||
+                       line.find("\"type\": \"hdr\"") != line.npos;
+    EXPECT_TRUE(known) << line;
+    if (line.find("\"runtime.sample_bytes\"") != line.npos ||
+        line.find("\"runtime.hdr_latency_ms\"") != line.npos) {
+      EXPECT_NE(line.find("\"type\": \"hdr\", \"count\": 4"), line.npos)
+          << line;
+      ++hdr;
+    }
+  }
+  EXPECT_EQ(hdr, 2);
+}
+
 TEST_F(RuntimeFixture, LatencyGrowsWhenSamplesEscalate) {
   core::DdnnModel model(
       core::DdnnConfig::preset(core::HierarchyPreset::kDevicesCloud));
@@ -536,28 +605,29 @@ TEST(Queueing, NearestRankPercentilePinsExactIndices) {
   for (std::size_t i = 0; i < v100.size(); ++i) {
     v100[i] = static_cast<double>(i + 1);  // 1..100
   }
-  EXPECT_DOUBLE_EQ(percentile_nearest_rank(v100, 0.95), 95.0);
-  EXPECT_DOUBLE_EQ(percentile_nearest_rank(v100, 0.50), 50.0);
-  EXPECT_DOUBLE_EQ(percentile_nearest_rank(v100, 1.00), 100.0);
+  EXPECT_DOUBLE_EQ(ddnn::percentile_nearest_rank(v100, 0.95), 95.0);
+  EXPECT_DOUBLE_EQ(ddnn::percentile_nearest_rank(v100, 0.50), 50.0);
+  EXPECT_DOUBLE_EQ(ddnn::percentile_nearest_rank(v100, 1.00), 100.0);
 
   std::vector<double> v20(20);
   for (std::size_t i = 0; i < v20.size(); ++i) {
     v20[i] = static_cast<double>(i + 1);  // 1..20
   }
-  EXPECT_DOUBLE_EQ(percentile_nearest_rank(v20, 0.95), 19.0);  // ceil(19)-1
-  EXPECT_DOUBLE_EQ(percentile_nearest_rank(v20, 0.50), 10.0);  // ceil(10)-1
+  // Ranks ceil(19) and ceil(10), at indices 18 and 9.
+  EXPECT_DOUBLE_EQ(ddnn::percentile_nearest_rank(v20, 0.95), 19.0);
+  EXPECT_DOUBLE_EQ(ddnn::percentile_nearest_rank(v20, 0.50), 10.0);
 
   const std::vector<double> tiny{42.0};
-  EXPECT_DOUBLE_EQ(percentile_nearest_rank(tiny, 0.50), 42.0);
-  EXPECT_DOUBLE_EQ(percentile_nearest_rank(tiny, 0.95), 42.0);
+  EXPECT_DOUBLE_EQ(ddnn::percentile_nearest_rank(tiny, 0.50), 42.0);
+  EXPECT_DOUBLE_EQ(ddnn::percentile_nearest_rank(tiny, 0.95), 42.0);
 
   const std::vector<double> pair{1.0, 2.0};
-  EXPECT_DOUBLE_EQ(percentile_nearest_rank(pair, 0.50), 1.0);
-  EXPECT_DOUBLE_EQ(percentile_nearest_rank(pair, 0.95), 2.0);
+  EXPECT_DOUBLE_EQ(ddnn::percentile_nearest_rank(pair, 0.50), 1.0);
+  EXPECT_DOUBLE_EQ(ddnn::percentile_nearest_rank(pair, 0.95), 2.0);
 
-  EXPECT_THROW(percentile_nearest_rank({}, 0.5), Error);
-  EXPECT_THROW(percentile_nearest_rank(pair, 0.0), Error);
-  EXPECT_THROW(percentile_nearest_rank(pair, 1.5), Error);
+  EXPECT_THROW(ddnn::percentile_nearest_rank({}, 0.5), Error);
+  EXPECT_THROW(ddnn::percentile_nearest_rank(pair, 0.0), Error);
+  EXPECT_THROW(ddnn::percentile_nearest_rank(pair, 1.5), Error);
 }
 
 TEST(Queueing, ValidatesInputs) {

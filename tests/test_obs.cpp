@@ -1,7 +1,7 @@
 // Tests for the observability layer (src/obs): metrics registry merge
-// determinism, histogram percentile edges, runtime span tracing (tree shape
-// + exact agreement with InferenceTrace/RuntimeMetrics), trace JSON schema
-// and the profiling hooks.
+// determinism, HDR histogram percentile bounds, runtime span tracing (tree
+// shape + exact agreement with InferenceTrace/RuntimeMetrics), trace JSON
+// schema and the profiling hooks.
 //
 // This suite runs under the determinism_obs_sweep CTest: every asserted
 // value must be independent of DDNN_THREADS (the registry's merge contract).
@@ -47,22 +47,6 @@ TEST(MetricsRegistry, CounterMergesExactlyAcrossPoolWorkers) {
   EXPECT_EQ(c.value(), 10000);
 }
 
-TEST(MetricsRegistry, HistogramMergesExactlyAcrossPoolWorkers) {
-  MetricsRegistry reg;
-  Histogram& h = reg.histogram("work.value", 0.0, 100.0, 10);
-  parallel_for(0, 1000, 16, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t i = lo; i < hi; ++i) {
-      h.record(static_cast<double>(i % 100));
-    }
-  });
-  EXPECT_EQ(h.count(), 1000);
-  EXPECT_EQ(h.min(), 0.0);
-  EXPECT_EQ(h.max(), 99.0);
-  const auto bins = h.bin_counts();
-  ASSERT_EQ(bins.size(), 10u);
-  for (const auto b : bins) EXPECT_EQ(b, 100);  // 10 values per bin, 10x each
-}
-
 TEST(MetricsRegistry, JsonIsByteStableAndOrderedByRegistration) {
   MetricsRegistry reg;
   reg.counter("b.second");
@@ -85,7 +69,6 @@ TEST(MetricsRegistry, ConcurrentFirstRequestsShareOneMetric) {
   struct Got {
     obs::Counter* counter = nullptr;
     obs::Gauge* gauge = nullptr;
-    obs::Histogram* histogram = nullptr;
     obs::HdrHistogram* hdr = nullptr;
   };
   std::vector<Got> got(kThreads);
@@ -98,7 +81,6 @@ TEST(MetricsRegistry, ConcurrentFirstRequestsShareOneMetric) {
       }
       got[t].counter = &reg.counter("race.counter");
       got[t].gauge = &reg.gauge("race.gauge");
-      got[t].histogram = &reg.histogram("race.histogram", 0.0, 10.0, 5);
       got[t].hdr = &reg.hdr_histogram("race.hdr", 1e-3, 1e3);
     });
   }
@@ -106,26 +88,16 @@ TEST(MetricsRegistry, ConcurrentFirstRequestsShareOneMetric) {
   for (const Got& g : got) {
     EXPECT_EQ(g.counter, got[0].counter);
     EXPECT_EQ(g.gauge, got[0].gauge);
-    EXPECT_EQ(g.histogram, got[0].histogram);
     EXPECT_EQ(g.hdr, got[0].hdr);
   }
-  EXPECT_EQ(reg.size(), 4u);
+  EXPECT_EQ(reg.size(), 3u);
 }
 
 TEST(MetricsRegistry, NameReuseWithDifferentTypeThrows) {
   MetricsRegistry reg;
   reg.counter("x");
   EXPECT_THROW(reg.gauge("x"), Error);
-  EXPECT_THROW(reg.histogram("x", 0, 1, 2), Error);
-}
-
-TEST(MetricsRegistry, HistogramReuseWithDifferentLayoutThrows) {
-  MetricsRegistry reg;
-  Histogram& h = reg.histogram("h", 0.0, 10.0, 5);
-  EXPECT_EQ(&reg.histogram("h", 0.0, 10.0, 5), &h);
-  EXPECT_THROW(reg.histogram("h", 0.0, 10.0, 6), Error);
-  EXPECT_THROW(reg.histogram("h", 1.0, 10.0, 5), Error);
-  EXPECT_THROW(reg.histogram("h", 0.0, 20.0, 5), Error);
+  EXPECT_THROW(reg.hdr_histogram("x", 1.0, 2.0), Error);
 }
 
 TEST(MetricsRegistry, HdrHistogramReuseWithDifferentLayoutThrows) {
@@ -139,60 +111,11 @@ TEST(MetricsRegistry, HdrHistogramReuseWithDifferentLayoutThrows) {
 TEST(MetricsRegistry, ResetZeroesValuesButKeepsRegistrationOrder) {
   MetricsRegistry reg;
   reg.counter("n").add(5);
-  reg.histogram("h", 0, 10, 5).record(3.0);
+  reg.hdr_histogram("h", 1.0, 10.0).record(3.0);
   reg.reset();
   EXPECT_EQ(reg.counter("n").value(), 0);
-  EXPECT_EQ(reg.histogram("h", 0, 10, 5).count(), 0);
+  EXPECT_EQ(reg.hdr_histogram("h", 1.0, 10.0).count(), 0);
   EXPECT_EQ(reg.names(), (std::vector<std::string>{"n", "h"}));
-}
-
-// ------------------------------------------------------ histogram percentile
-
-TEST(Histogram, PercentileSingleSampleIsThatSample) {
-  Histogram h(0.0, 100.0, 10);
-  h.record(37.5);
-  for (const double q : {0.01, 0.5, 0.99, 1.0}) {
-    EXPECT_EQ(h.percentile(q), 37.5) << q;
-  }
-}
-
-TEST(Histogram, PercentileAllEqualIsThatValue) {
-  Histogram h(0.0, 100.0, 10);
-  for (int i = 0; i < 1000; ++i) h.record(42.0);
-  for (const double q : {0.01, 0.5, 0.99, 1.0}) {
-    EXPECT_EQ(h.percentile(q), 42.0) << q;
-  }
-}
-
-TEST(Histogram, PercentileMatchesNearestRankOnBinAlignedValues) {
-  // One distinct value per bin: the histogram's bin-granular nearest rank
-  // must agree exactly with the sorted-vector definition.
-  Histogram h(0.5, 100.5, 100);
-  std::vector<double> sorted;
-  for (int v = 1; v <= 100; ++v) {
-    h.record(static_cast<double>(v));
-    sorted.push_back(static_cast<double>(v));
-  }
-  for (const double q : {0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0}) {
-    EXPECT_EQ(h.percentile(q), dist::percentile_nearest_rank(sorted, q)) << q;
-  }
-}
-
-TEST(Histogram, OutOfRangeValuesClampIntoEdgeBins) {
-  Histogram h(0.0, 10.0, 5);
-  h.record(-100.0);
-  h.record(1e9);
-  const auto bins = h.bin_counts();
-  EXPECT_EQ(bins.front(), 1);
-  EXPECT_EQ(bins.back(), 1);
-  EXPECT_EQ(h.min(), -100.0);  // extrema keep the raw values
-  EXPECT_EQ(h.max(), 1e9);
-}
-
-TEST(Histogram, PercentileRejectsBadRank) {
-  Histogram h(0.0, 1.0, 2);
-  EXPECT_THROW(h.percentile(0.0), Error);
-  EXPECT_THROW(h.percentile(1.5), Error);
 }
 
 // -------------------------------------------------------------- trace JSON
@@ -398,9 +321,8 @@ TEST_F(ObsRuntimeFixture, TraceJsonAndBoundMetricsAreRerunIdentical) {
   EXPECT_EQ(reg.counter("runtime.exit.local").value(), m.exit_counts[0]);
   EXPECT_EQ(reg.counter("runtime.exit.cloud").value(), m.exit_counts[1]);
   EXPECT_EQ(reg.gauge("runtime.total_latency_s").value(), m.total_latency_s);
-  EXPECT_EQ(
-      reg.histogram("runtime.sample_latency_ms", 0.0, 1000.0, 100).count(),
-      m.samples);
+  EXPECT_EQ(reg.hdr_histogram("runtime.hdr_latency_ms", 1e-3, 3.6e6).count(),
+            m.samples);
 }
 
 // ---------------------------------------------------------------- profiling
@@ -515,7 +437,7 @@ TEST(HdrHistogram, PercentilesWithinRelativeErrorBoundAndMaxIsExact) {
   EXPECT_EQ(h.max(), values.back());  // exact, not a bucket edge
   EXPECT_EQ(h.min(), values.front());
   for (const double q : {0.5, 0.9, 0.99, 0.999}) {
-    const double exact = dist::percentile_nearest_rank(values, q);
+    const double exact = ddnn::percentile_nearest_rank(values, q);
     const double est = h.percentile(q);
     EXPECT_GE(est, exact) << q;  // bucket upper edge never understates
     EXPECT_LE(est,
@@ -532,6 +454,95 @@ TEST(HdrHistogram, OverflowCountsAndKeepsExactMax) {
   EXPECT_EQ(h.count(), 2);
   EXPECT_EQ(h.overflow(), 1);
   EXPECT_EQ(h.max(), 5000.0);  // extrema keep the raw value
+}
+
+TEST(HdrHistogram, PercentileSingleSampleIsThatSample) {
+  // The bucket's upper edge is clamped to the exact max, so a lone sample
+  // reads back as itself at every rank, not as a bucket edge.
+  HdrHistogram h(1e-3, 3.6e6);
+  h.record(37.5);
+  for (const double q : {0.01, 0.5, 0.99, 1.0}) {
+    EXPECT_EQ(h.percentile(q), 37.5) << q;
+  }
+}
+
+TEST(HdrHistogram, PercentileAllEqualIsThatValue) {
+  HdrHistogram h(1e-3, 3.6e6);
+  for (int i = 0; i < 1000; ++i) h.record(42.0);
+  const HdrHistogram::View v = h.view();
+  for (const double q : {0.01, 0.5, 0.99, 1.0}) {
+    EXPECT_EQ(v.percentile(q), 42.0) << q;
+  }
+}
+
+TEST(HdrHistogram, PercentileInExactRangeIsNearestRankPlusOneUnit) {
+  // Under kSubBuckets units every bucket holds one unit, so the bucket read
+  // is the nearest-rank value plus one unit (its upper edge), clamped to the
+  // exact max at the top.
+  HdrHistogram h(1.0, 1000.0);
+  std::vector<double> sorted;
+  for (int v = 1; v <= 100; ++v) {
+    h.record(static_cast<double>(v));
+    sorted.push_back(static_cast<double>(v));
+  }
+  for (const double q : {0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0}) {
+    const double exact = ddnn::percentile_nearest_rank(sorted, q);
+    EXPECT_EQ(h.percentile(q), std::min(exact + 1.0, 100.0)) << q;
+  }
+}
+
+TEST(HdrHistogram, NegativeValuesLandInBucketZeroAndKeepRawMin) {
+  HdrHistogram h(1.0, 10.0);
+  h.record(-100.0);
+  h.record(1e9);
+  EXPECT_EQ(h.count(), 2);
+  EXPECT_EQ(h.overflow(), 1);  // only the value past max_value
+  EXPECT_EQ(h.min(), -100.0);  // extrema keep the raw values
+  EXPECT_EQ(h.max(), 1e9);
+  // The low sample reads at bucket 0's upper edge; the overflowed one at the
+  // top bucket's upper edge, since it was clamped there.
+  EXPECT_EQ(h.percentile(0.5),
+            static_cast<double>(HdrHistogram::bucket_upper_unit(0) + 1));
+  EXPECT_EQ(h.percentile(1.0),
+            static_cast<double>(HdrHistogram::bucket_upper_unit(
+                                    HdrHistogram::bucket_for_unit(10)) +
+                                1));
+}
+
+TEST(HdrHistogram, PercentileRejectsBadRank) {
+  HdrHistogram h(1.0, 10.0);
+  // Checked before the emptiness test, so an empty histogram rejects too.
+  EXPECT_THROW(h.percentile(0.0), Error);
+  h.record(3.0);
+  EXPECT_THROW(h.percentile(0.0), Error);
+  EXPECT_THROW(h.percentile(-0.5), Error);
+  EXPECT_THROW(h.percentile(1.5), Error);
+  EXPECT_THROW(h.exemplar_at(1.5), Error);
+  EXPECT_NO_THROW(h.percentile(1.0));
+}
+
+TEST(HdrHistogram, ConstructorRejectsBadLayout) {
+  EXPECT_THROW(HdrHistogram(0.0, 10.0), Error);
+  EXPECT_THROW(HdrHistogram(-1.0, 10.0), Error);
+  EXPECT_THROW(HdrHistogram(1.0, 1.0), Error);  // range must exceed a unit
+  EXPECT_THROW(HdrHistogram(1.0, 0.5), Error);
+  EXPECT_NO_THROW(HdrHistogram(1.0, 2.0));
+}
+
+TEST(MetricsRegistry, HdrOverflowIsExportedNotSilentlyClamped) {
+  MetricsRegistry reg;
+  HdrHistogram& h = reg.hdr_histogram("work.value", 1.0, 10.0);
+  h.record(5.0);
+  h.record(1e9);  // clamps into the top bucket, but the export says so
+  const std::string json = reg.to_json();
+  EXPECT_NE(json.find("\"type\": \"hdr\", \"count\": 2, \"overflow\": 1"),
+            std::string::npos)
+      << json;
+  const Table table = reg.to_table();
+  ASSERT_EQ(table.rows().size(), 1u);
+  EXPECT_EQ(table.rows()[0][0], "work.value");
+  EXPECT_EQ(table.rows()[0][1], "hdr");
+  EXPECT_EQ(table.rows()[0][2].rfind("n=2 ", 0), 0u) << table.rows()[0][2];
 }
 
 TEST(HdrHistogram, ExemplarSmallestSampleIndexWins) {
@@ -764,23 +775,30 @@ TEST(SloEngine, SnapshotHealthFlagsSlowTailAndDeadSamples) {
             std::string::npos);
 }
 
-// --------------------------------------------------------------- satellites
-
-TEST(Histogram, UnderflowAndOverflowAreCountedNotSilentlyClamped) {
-  Histogram h(0.0, 10.0, 5);
-  h.record(5.0);
-  h.record(-3.0);  // clamps into the first bin, but the export says so
-  h.record(1e9);   // clamps into the last bin, but the export says so
-  EXPECT_EQ(h.underflow(), 1);
-  EXPECT_EQ(h.overflow(), 1);
+TEST(SloEngine, SnapshotHealthReadsOneSignalPerLatencyHdr) {
+  // Only hdr metrics named *latency_ms become latency signals: a counter or
+  // gauge with that suffix is not a distribution and is skipped.
   MetricsRegistry reg;
-  Histogram& rh = reg.histogram("work.value", 0.0, 10.0, 5);
-  rh.record(-3.0);
-  const std::string json = reg.to_json();
-  EXPECT_NE(json.find("\"underflow\": 1"), std::string::npos);
-  EXPECT_NE(json.find("\"overflow\": 0"), std::string::npos);
+  reg.counter("runtime.samples").add(10);
+  reg.counter("edge.latency_ms").add(7);
+  reg.gauge("cloud.latency_ms").set(3.0);
+  HdrHistogram& h = reg.hdr_histogram("runtime.hdr_latency_ms", 1e-3, 3.6e6);
+  for (int i = 0; i < 10; ++i) h.record(5.0, 1, i);
+  reg.hdr_histogram("runtime.sample_bytes", 1.0, 1048576.0).record(64.0);
+  const std::string health = health_from_metrics(reg.to_json(), {});
+  std::size_t signals = 0;
+  for (auto at = health.find("\"kind\": \"latency\""); at != std::string::npos;
+       at = health.find("\"kind\": \"latency\"", at + 1)) {
+    ++signals;
+  }
+  EXPECT_EQ(signals, 1u) << health;
+  EXPECT_NE(health.find("\"name\": \"runtime.hdr_latency_ms\""),
+            std::string::npos);
+  EXPECT_EQ(health.find("edge.latency_ms"), std::string::npos);
+  EXPECT_EQ(health.find("cloud.latency_ms"), std::string::npos);
 }
 
+// --------------------------------------------------------------- satellites
 
 TEST(ConfusionMatrixBounds, ErrorMessagesNameTheOffendingValue) {
   core::ConfusionMatrix cm(3);

@@ -61,26 +61,6 @@ TEST(WindowedSeries, GaugeKeepsLastValueAndCarriesAcrossEmptyWindows) {
             "3,3,4,5\n");
 }
 
-TEST(WindowedSeries, HistogramExportsNearestRankPercentiles) {
-  WindowedSeries s(1.0);
-  const int h = s.add_histogram("lat");
-  for (int i = 1; i <= 100; ++i) {
-    s.record(h, 0.5, static_cast<double>(i));
-  }
-  s.record(h, 1.5, 42.0);
-  const auto header = s.header();
-  ASSERT_EQ(header.size(), 7u);
-  EXPECT_EQ(header[3], "lat.n");
-  EXPECT_EQ(header[4], "lat.p50");
-  EXPECT_EQ(header[5], "lat.p95");
-  EXPECT_EQ(header[6], "lat.max");
-  // Nearest-rank over 1..100: p50 = 50, p95 = 95 (matches util/stats).
-  EXPECT_EQ(s.to_csv(),
-            "window,t_start,t_end,lat.n,lat.p50,lat.p95,lat.max\n"
-            "0,0,1,100,50,95,100\n"
-            "1,1,2,1,42,42,42\n");
-}
-
 TEST(WindowedSeries, RatioDividesWindowDeltasAndZeroesOnEmptyDenominator) {
   WindowedSeries s(1.0);
   const int num = s.add_counter("hits");
@@ -172,8 +152,10 @@ TEST(WindowedSeries, HdrColumnExportsTailColumnsPerWindow) {
   // Window 1: empty. Window 2: one sample.
   s.record(lat, 2.5, 4.0);
   const std::string csv = s.to_csv();
-  EXPECT_NE(csv.find("lat_ms.n,lat_ms.p99,lat_ms.p999,lat_ms.max"),
-            std::string::npos);
+  EXPECT_NE(
+      csv.find("lat_ms.n,lat_ms.p50,lat_ms.p95,lat_ms.p99,lat_ms.p999,"
+               "lat_ms.max"),
+      std::string::npos);
   // Three data rows: the window-1 row flushed as all zeros (histogram was
   // reset at the flush), and window 2 only holds its own sample.
   std::istringstream lines(csv);
@@ -182,7 +164,7 @@ TEST(WindowedSeries, HdrColumnExportsTailColumnsPerWindow) {
   std::getline(lines, line);
   EXPECT_EQ(line.substr(0, 8), "0,0,1,10");  // n=101 in window 0
   std::getline(lines, line);
-  EXPECT_EQ(line, "1,1,2,0,0,0,0");
+  EXPECT_EQ(line, "1,1,2,0,0,0,0,0,0");
   std::getline(lines, line);
   EXPECT_EQ(line.substr(0, 7), "2,2,3,1");
   // Exports are deterministic: a second render is byte-identical.
@@ -204,6 +186,7 @@ TEST(WindowedSeries, FlushedHdrRowEqualsDirectReadsBeforeTheFlush) {
       mirror.record(v);
     }
     want.push_back({static_cast<double>(mirror.count()),
+                    mirror.percentile(0.50), mirror.percentile(0.95),
                     mirror.percentile(0.99), mirror.percentile(0.999),
                     mirror.max()});
     mirror.reset();
@@ -219,7 +202,7 @@ TEST(WindowedSeries, FlushedHdrRowEqualsDirectReadsBeforeTheFlush) {
     for (std::string cell; std::getline(row, cell, ',');) {
       cells.push_back(std::stod(cell));
     }
-    ASSERT_EQ(cells.size(), 7u) << line;
+    ASSERT_EQ(cells.size(), 9u) << line;
     EXPECT_EQ(std::vector<double>(cells.begin() + 3, cells.end()), want[w])
         << "window " << w;
   }

@@ -2,7 +2,7 @@
 //
 //   ddnn train    --preset c --filters 4 --epochs 40 --out model.ddnn
 //   ddnn eval     --model model.ddnn --preset c --filters 4 --threshold 0.8
-//   ddnn simulate --model model.ddnn --preset c --filters 4 --threshold 0.8 \
+//   ddnn simulate --model model.ddnn --preset c --filters 4 --threshold 0.8
 //                 --fail 1,6
 //   ddnn dataset  --out-dir views --samples 2
 //   ddnn report   --out results/report.html
@@ -898,13 +898,7 @@ void print_stats(const std::string& json, int poll, double age_s) {
   for (const obs::JsonValue& m : metrics->items) {
     const std::string type = m.at("type").s;
     std::string value;
-    if (type == "histogram") {
-      char buf[96];
-      std::snprintf(buf, sizeof(buf), "n=%lld p50=%g p99=%g",
-                    static_cast<long long>(m.at("count").i),
-                    m.at("p50").number(), m.at("p99").number());
-      value = buf;
-    } else if (type == "hdr") {
+    if (type == "hdr") {
       char buf[96];
       std::snprintf(buf, sizeof(buf), "n=%lld p99=%g p99.9=%g max=%g",
                     static_cast<long long>(m.at("count").i),
