@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <map>
 #include <sstream>
 
@@ -766,6 +768,128 @@ TEST(FleetQueueing, DeterministicAcrossRerunsIncludingSeries) {
   }
   EXPECT_EQ(a.cloud.served, b.cloud.served);
   EXPECT_EQ(a_series.to_csv(), b_series.to_csv());
+}
+
+/// FNV-1a over `s`, continuing from `h`.
+std::uint64_t fnv1a(std::uint64_t h, const std::string& s) {
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// Every FleetStats field as text, doubles in exact hex (%a).
+std::string fleet_stats_text(const FleetStats& s) {
+  std::string out;
+  const auto d = [&out](double v) {
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%a,", v);
+    out += buf;
+  };
+  const auto i = [&out](std::int64_t v) { out += std::to_string(v) + ","; };
+  const auto ex = [&out, &i](const obs::HdrExemplar& e) {
+    i(e.sample);
+    out += std::to_string(e.trace_id) + ",";
+  };
+  const auto station = [&](const StationStats& st) {
+    i(st.served);
+    i(st.batches);
+    i(st.shed);
+    i(st.peak_queue);
+    d(st.busy_s);
+    d(st.utilization);
+  };
+  i(s.arrivals);
+  i(s.completed);
+  i(s.local);
+  i(s.escalated);
+  i(s.dead);
+  i(s.shed);
+  d(s.horizon_s);
+  d(s.throughput_hz);
+  d(s.mean_latency_s);
+  d(s.p50_latency_s);
+  d(s.p95_latency_s);
+  d(s.max_latency_s);
+  d(s.p99_latency_s);
+  d(s.p999_latency_s);
+  ex(s.p99_exemplar);
+  ex(s.p999_exemplar);
+  ex(s.max_exemplar);
+  for (const auto& e : s.edges) station(e);
+  station(s.cloud);
+  return out;
+}
+
+TEST(FleetQueueing, GoldenDigestsPinTheEventOrder) {
+  // Reruns of one build cannot catch a priority queue that pops tied events
+  // in another order. These configs tie on t on purpose — zero inter-arrival
+  // gaps, equal trace latencies, a server-free and its batch's completions
+  // at one instant — and every output is hashed against digests recorded
+  // on the (t, seq)-ordered reference implementation.
+  std::vector<InferenceTrace> traces{trace_of(0, 2e-3), trace_of(1, 2e-3),
+                                     trace_of(2, 2e-3), trace_of(1, 2e-3),
+                                     trace_of(-1, 0.0), trace_of(2, 2e-3)};
+  for (std::size_t k = 0; k < traces.size(); ++k) {
+    traces[k].trace_id = 1000 + k;
+  }
+  FleetConfig tied;
+  tied.num_devices = 7;
+  tied.num_edges = 3;
+  tied.edge_servers = 2;
+  tied.cloud_servers = 2;
+  tied.interarrival_s = {0.0, 1e-3};
+  // Power-of-two service times make base * (1 + (k - 1) * growth) exact,
+  // so the digests do not depend on whether the compiler fuses the service
+  // product and the clock add into an FMA (-march=native builds do).
+  tied.edge_service_s = 0x1p-7;
+  tied.cloud_service_s = 0x1p-8;
+  tied.edge_cloud_latency_s = 2e-3;
+  tied.max_batch = 8;
+  tied.batch_growth = 0.25;
+  tied.queue_capacity = 3;
+  tied.slo_latency_ms = 20.0;
+  tied.slo_fast_window_s = 0.1;
+  tied.slo_slow_window_s = 1.0;
+  tied.seed = 5;
+  struct Case {
+    EdgePolicy policy;
+    bool poisson;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {EdgePolicy::kNearest, false, 0xfe4c6f15862c7963ULL},
+      {EdgePolicy::kLeastLoaded, false, 0xe30c6d50e5c1b574ULL},
+      {EdgePolicy::kRoundRobin, false, 0x140dae0947e59f04ULL},
+      {EdgePolicy::kLeastLoaded, true, 0x21fb3216b9fc7161ULL},
+  };
+  for (const Case& c : cases) {
+    FleetConfig cfg = tied;
+    cfg.policy = c.policy;
+    if (c.poisson) {
+      cfg.interarrival_s.clear();
+      cfg.arrival_rate_hz = 1500.0;
+    }
+    obs::WindowedSeries series(0.05);
+    obs::MetricsRegistry registry;
+    obs::SloEngine slo;
+    const FleetStats stats =
+        simulate_fleet(traces, cfg, 3000, &series, &registry, &slo);
+    EXPECT_GT(stats.shed, 0) << to_string(c.policy);
+    EXPECT_GT(stats.cloud.served, 0) << to_string(c.policy);
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    h = fnv1a(h, fleet_stats_text(stats));
+    h = fnv1a(h, series.to_csv());
+    h = fnv1a(h, registry.to_json());
+    h = fnv1a(h, slo.to_json());
+    char hex[32];
+    std::snprintf(hex, sizeof hex, "0x%016llx",
+                  static_cast<unsigned long long>(h));
+    EXPECT_EQ(h, c.digest) << to_string(c.policy)
+                           << (c.poisson ? " poisson" : " tied") << ": "
+                           << hex;
+  }
 }
 
 TEST(FleetQueueing, DeadTracesNeverOccupyAnyServer) {
