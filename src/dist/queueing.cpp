@@ -1,9 +1,10 @@
 #include "dist/queueing.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <deque>
-#include <queue>
 
 #include "util/error.hpp"
 #include "util/stats.hpp"
@@ -22,6 +23,52 @@ double exponential_from_uniform(double u, double rate_hz) {
 
 namespace {
 
+/// Sort ascending with an LSD radix sort over order-preserving bit keys:
+/// a double's bits with the sign flipped when positive and all bits
+/// flipped when negative compare as unsigned integers exactly as the
+/// doubles do. 11-bit digits take six counting passes; a digit every key
+/// shares is skipped. The result equals std::sort's element for element
+/// (the inputs hold no NaN). `values` must not be empty.
+void radix_sort(std::vector<double>& values) {
+  constexpr int kDigitBits = 11;
+  constexpr int kPasses = (64 + kDigitBits - 1) / kDigitBits;
+  constexpr std::uint64_t kDigitMask = (std::uint64_t{1} << kDigitBits) - 1;
+  constexpr std::uint64_t kSignBit = std::uint64_t{1} << 63;
+  const std::size_t n = values.size();
+  std::vector<std::uint64_t> keys(n);
+  std::vector<std::uint64_t> scratch(n);
+  std::vector<std::size_t> counts(std::size_t{kPasses} << kDigitBits, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto u = std::bit_cast<std::uint64_t>(values[i]);
+    const std::uint64_t key = (u & kSignBit) != 0 ? ~u : u | kSignBit;
+    keys[i] = key;
+    for (int p = 0; p < kPasses; ++p) {
+      ++counts[(std::size_t(p) << kDigitBits) +
+               ((key >> (p * kDigitBits)) & kDigitMask)];
+    }
+  }
+  for (int p = 0; p < kPasses; ++p) {
+    std::size_t* count = counts.data() + (std::size_t(p) << kDigitBits);
+    const int shift = p * kDigitBits;
+    if (count[(keys[0] >> shift) & kDigitMask] == n) continue;
+    std::size_t offset = 0;
+    for (std::size_t d = 0; d <= kDigitMask; ++d) {
+      const std::size_t c = count[d];
+      count[d] = offset;
+      offset += c;
+    }
+    for (const std::uint64_t key : keys) {
+      scratch[count[(key >> shift) & kDigitMask]++] = key;
+    }
+    keys.swap(scratch);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t key = keys[i];
+    values[i] = std::bit_cast<double>((key & kSignBit) != 0 ? key & ~kSignBit
+                                                             : ~key);
+  }
+}
+
 /// Sort + summarize a latency sample; all-zero when the sample is empty
 /// (e.g. every trace was dead), never UB.
 void fill_latency_stats(std::vector<double>& latencies, double& mean,
@@ -30,13 +77,26 @@ void fill_latency_stats(std::vector<double>& latencies, double& mean,
     mean = p50 = p95 = max = 0.0;
     return;
   }
-  std::sort(latencies.begin(), latencies.end());
+  radix_sort(latencies);
   double sum = 0.0;
   for (const double l : latencies) sum += l;
   mean = sum / static_cast<double>(latencies.size());
   p50 = ddnn::percentile_nearest_rank(latencies, 0.50);
   p95 = ddnn::percentile_nearest_rank(latencies, 0.95);
   max = latencies.back();
+}
+
+/// Every trace that some tier classified carries a finite, non-negative
+/// latency: a NaN would break the event order, and a negative latency
+/// would schedule into the past.
+void check_trace_latencies(const std::vector<InferenceTrace>& traces) {
+  for (std::size_t k = 0; k < traces.size(); ++k) {
+    const InferenceTrace& trace = traces[k];
+    DDNN_CHECK(trace.exit_taken < 0 ||
+                   (std::isfinite(trace.latency_s) && trace.latency_s >= 0.0),
+               "trace " << k << " latency_s " << trace.latency_s
+                        << " must be finite and >= 0");
+  }
 }
 
 }  // namespace
@@ -48,6 +108,7 @@ QueueingStats simulate_stream(const std::vector<InferenceTrace>& traces,
   DDNN_CHECK(config.arrival_rate_hz > 0.0, "non-positive arrival rate");
   DDNN_CHECK(config.cloud_service_s >= 0.0, "negative service time");
   DDNN_CHECK(stream_length > 0, "non-positive stream length");
+  check_trace_latencies(traces);
 
   Rng rng(config.seed);
   QueueingStats stats;
@@ -151,25 +212,97 @@ struct Job {
   std::uint64_t trace_id = 0;  // replayed trace's distributed trace id
 };
 
-/// Heap events, processed in (t, seq) order. seq is the schedule sequence
-/// number, so simultaneous events resolve in the deterministic order they
-/// were created — never by allocation address or hash order.
+/// A scheduled station arrival, server-free or completion. Its (t, seq)
+/// key lives in the EventQueue; arrivals are not events (see the loop).
 struct Event {
-  enum class Kind { kEntry, kStationArrival, kServerFree, kDone };
-  double t = 0.0;
-  std::int64_t seq = 0;
-  Kind kind = Kind::kEntry;
+  enum class Kind : std::uint8_t { kStationArrival, kServerFree, kDone };
+  Kind kind = Kind::kDone;
   int station = -1;  // kStationArrival / kServerFree
-  int server = -1;   // kServerFree
-  std::int64_t index = 0;  // kEntry: arrival index
   Job job;           // kStationArrival / kDone
 };
 
-struct EventAfter {
-  bool operator()(const Event& a, const Event& b) const {
-    if (a.t != b.t) return a.t > b.t;
-    return a.seq > b.seq;
+/// An event's schedule key. seq is the schedule sequence number, so
+/// simultaneous events resolve in the deterministic order they were
+/// created — never by allocation address or hash order.
+struct EventKey {
+  double t = 0.0;
+  std::int64_t seq = 0;
+};
+
+/// (t, seq) order. seq is unique, so this is a strict total order and any
+/// correct priority queue pops the same sequence of events.
+bool before(const EventKey& a, const EventKey& b) {
+  return a.t < b.t || (a.t == b.t && a.seq < b.seq);
+}
+
+/// Min-queue of events: a 4-ary heap of compact (t, seq, slot) keys over a
+/// slab of payloads whose freed slots are reused. The shallow heap halves
+/// the levels a sift crosses, and a sift moves 24-byte keys, never
+/// payloads.
+class EventQueue {
+ public:
+  bool empty() const { return heap_.empty(); }
+  const EventKey& top() const { return heap_.front().key; }
+
+  void push(const EventKey& key, const Event& event) {
+    std::uint32_t slot;
+    if (free_.empty()) {
+      slot = static_cast<std::uint32_t>(slab_.size());
+      slab_.push_back(event);
+    } else {
+      slot = free_.back();
+      free_.pop_back();
+      slab_[slot] = event;
+    }
+    // Sift the hole up from the new leaf.
+    std::size_t hole = heap_.size();
+    heap_.emplace_back();
+    while (hole > 0) {
+      const std::size_t parent = (hole - 1) / kArity;
+      if (!before(key, heap_[parent].key)) break;
+      heap_[hole] = heap_[parent];
+      hole = parent;
+    }
+    heap_[hole] = {key, slot};
   }
+
+  /// Remove the top event and return its payload.
+  Event pop() {
+    const std::uint32_t slot = heap_.front().slot;
+    const Entry last = heap_.back();
+    heap_.pop_back();
+    const std::size_t n = heap_.size();
+    if (n > 0) {
+      // Sift the hole down from the root, taking the least of up to four
+      // children each level, until `last` fits.
+      std::size_t hole = 0;
+      for (;;) {
+        const std::size_t first = kArity * hole + 1;
+        if (first >= n) break;
+        std::size_t least = first;
+        const std::size_t end = std::min(first + kArity, n);
+        for (std::size_t c = first + 1; c < end; ++c) {
+          if (before(heap_[c].key, heap_[least].key)) least = c;
+        }
+        if (!before(heap_[least].key, last.key)) break;
+        heap_[hole] = heap_[least];
+        hole = least;
+      }
+      heap_[hole] = last;
+    }
+    free_.push_back(slot);
+    return slab_[slot];
+  }
+
+ private:
+  static constexpr std::size_t kArity = 4;
+  struct Entry {
+    EventKey key;
+    std::uint32_t slot = 0;
+  };
+  std::vector<Entry> heap_;
+  std::vector<Event> slab_;
+  std::vector<std::uint32_t> free_;
 };
 
 /// A FIFO station with a pool of identical servers and a bounded queue.
@@ -221,6 +354,7 @@ FleetStats simulate_fleet(const std::vector<InferenceTrace>& traces,
   DDNN_CHECK(config.batch_growth >= 0.0, "negative batch growth");
   DDNN_CHECK(config.queue_capacity >= 1, "queue capacity must be >= 1");
   DDNN_CHECK(config.first_cloud_exit >= 1, "first_cloud_exit must be >= 1");
+  check_trace_latencies(traces);
   if (config.interarrival_s.empty()) {
     DDNN_CHECK(config.arrival_rate_hz > 0.0, "non-positive arrival rate");
   } else {
@@ -301,11 +435,10 @@ FleetStats simulate_fleet(const std::vector<InferenceTrace>& traces,
   stations[static_cast<std::size_t>(cloud_idx)].server_free_at.assign(
       static_cast<std::size_t>(config.cloud_servers), 0.0);
 
-  std::priority_queue<Event, std::vector<Event>, EventAfter> events;
+  EventQueue events;
   std::int64_t seq = 0;
-  const auto push = [&events, &seq](Event ev) {
-    ev.seq = seq++;
-    events.push(std::move(ev));
+  const auto push = [&events, &seq](double t, const Event& ev) {
+    events.push({t, seq++}, ev);
   };
 
   Rng rng(config.seed);
@@ -345,114 +478,125 @@ FleetStats simulate_fleet(const std::vector<InferenceTrace>& traces,
       st.stats.busy_s += service;
       st.stats.served += batch;
       ++st.stats.batches;
-      push({.t = done, .kind = Event::Kind::kServerFree,
-            .station = station_idx, .server = srv, .job = {}});
+      push(done, {.kind = Event::Kind::kServerFree, .station = station_idx,
+                  .job = {}});
       for (std::int64_t b = 0; b < batch; ++b) {
         Job job = st.queue.front();
         st.queue.pop_front();
         --queued_total;
         if (!is_cloud && job.needs_cloud) {
-          push({.t = done + config.edge_cloud_latency_s,
-                .kind = Event::Kind::kStationArrival, .station = cloud_idx,
+          push(done + config.edge_cloud_latency_s,
+               {.kind = Event::Kind::kStationArrival, .station = cloud_idx,
                 .job = job});
         } else {
-          push({.t = done, .kind = Event::Kind::kDone, .job = job});
+          push(done, {.kind = Event::Kind::kDone, .job = job});
         }
       }
     }
   };
 
-  // Seed the arrival chain: entry k schedules entry k+1, so the heap stays
-  // small and the RNG draw order is exactly the arrival order.
-  double arrival_clock =
-      config.interarrival_s.empty()
-          ? exponential_from_uniform(rng.uniform(), config.arrival_rate_hz)
-          : config.interarrival_s[0];
-  push({.t = arrival_clock, .kind = Event::Kind::kEntry, .index = 0,
-        .job = {}});
+  // The arrival chain: arrival k schedules arrival k+1 before its own
+  // job's event, so the RNG draw order is exactly the arrival order. The
+  // one pending arrival waits outside the heap with the seq it would have
+  // had as an event; the loop takes it whenever its key is before the
+  // heap's top, so every event keeps its (t, seq) turn.
+  struct Arrival {
+    EventKey key;
+    std::int64_t index = 0;
+  };
+  // Gap before arrival `index`: a Poisson draw, or the replayed gap.
+  const auto gap_before = [&](std::int64_t index) {
+    return config.interarrival_s.empty()
+               ? exponential_from_uniform(rng.uniform(),
+                                          config.arrival_rate_hz)
+               : config.interarrival_s[static_cast<std::size_t>(
+                     index % static_cast<std::int64_t>(
+                                 config.interarrival_s.size()))];
+  };
+  Arrival next{.key = {gap_before(0), seq++}, .index = 0};
+  bool arrival_pending = true;
 
-  double horizon = 0.0;
-  while (!events.empty()) {
-    const Event ev = events.top();
-    events.pop();
-    const double now = ev.t;
-    horizon = std::max(horizon, now);
-    switch (ev.kind) {
-      case Event::Kind::kEntry: {
-        if (ev.index + 1 < stream_length) {
-          arrival_clock +=
-              config.interarrival_s.empty()
-                  ? exponential_from_uniform(rng.uniform(),
-                                             config.arrival_rate_hz)
-                  : config.interarrival_s[static_cast<std::size_t>(
-                        (ev.index + 1) %
-                        static_cast<std::int64_t>(
-                            config.interarrival_s.size()))];
-          push({.t = arrival_clock, .kind = Event::Kind::kEntry,
-                .index = ev.index + 1, .job = {}});
-        }
-        ++stats.arrivals;
-        tick(fs.arrivals, now, 1.0);
-        const int device = static_cast<int>(
-            rng.uniform_index(static_cast<std::uint64_t>(config.num_devices)));
-        const InferenceTrace& trace =
-            traces[static_cast<std::size_t>(ev.index) % traces.size()];
-        if (trace.exit_taken < 0) {
-          // Dead trace: no tier classified it — it must never occupy a
-          // queueing server or contribute a latency sample. It does count
-          // against availability: the fleet failed to classify it.
-          ++stats.dead;
-          tick(fs.dead, now, 1.0);
-          if (slo != nullptr) slo->record(slo_availability, now, false);
-          break;
-        }
-        Job job;
-        job.entry_t = now;
-        job.index = ev.index;
-        // Pools that predate trace ids get the simulator's, keyed by the
-        // arrival index.
-        job.trace_id = trace.trace_id != 0 ? trace.trace_id
-                                           : trace_id_of(ev.index);
-        if (trace.exit_taken == 0) {
-          job.local = true;
-          push({.t = now + trace.latency_s, .kind = Event::Kind::kDone,
-                .job = job});
-          break;
-        }
-        job.needs_cloud = trace.exit_taken >= config.first_cloud_exit;
-        int edge = 0;
-        switch (config.policy) {
-          case EdgePolicy::kNearest:
-            edge = static_cast<int>(
-                static_cast<std::int64_t>(device) * config.num_edges /
-                config.num_devices);
-            break;
-          case EdgePolicy::kRoundRobin:
-            edge = static_cast<int>(rr_next++ %
-                                    static_cast<std::int64_t>(
-                                        config.num_edges));
-            break;
-          case EdgePolicy::kLeastLoaded: {
-            std::int64_t best = -1;
-            for (int g = 0; g < config.num_edges; ++g) {
-              const Station& st = stations[static_cast<std::size_t>(g)];
-              auto load = static_cast<std::int64_t>(st.queue.size());
-              for (const double free_at : st.server_free_at) {
-                if (free_at > now) ++load;
-              }
-              if (best < 0 || load < best) {
-                best = load;
-                edge = g;
-              }
-            }
-            break;
+  // One open-loop arrival at `now`: route its trace into the network.
+  const auto enter = [&](std::int64_t index, double now) {
+    ++stats.arrivals;
+    tick(fs.arrivals, now, 1.0);
+    const int device = static_cast<int>(
+        rng.uniform_index(static_cast<std::uint64_t>(config.num_devices)));
+    const InferenceTrace& trace =
+        traces[static_cast<std::size_t>(index) % traces.size()];
+    if (trace.exit_taken < 0) {
+      // Dead trace: no tier classified it — it must never occupy a
+      // queueing server or contribute a latency sample. It does count
+      // against availability: the fleet failed to classify it.
+      ++stats.dead;
+      tick(fs.dead, now, 1.0);
+      if (slo != nullptr) slo->record(slo_availability, now, false);
+      return;
+    }
+    Job job;
+    job.entry_t = now;
+    job.index = index;
+    // Pools that predate trace ids get the simulator's, keyed by the
+    // arrival index.
+    job.trace_id =
+        trace.trace_id != 0 ? trace.trace_id : trace_id_of(index);
+    if (trace.exit_taken == 0) {
+      job.local = true;
+      push(now + trace.latency_s, {.kind = Event::Kind::kDone, .job = job});
+      return;
+    }
+    job.needs_cloud = trace.exit_taken >= config.first_cloud_exit;
+    int edge = 0;
+    switch (config.policy) {
+      case EdgePolicy::kNearest:
+        edge = static_cast<int>(static_cast<std::int64_t>(device) *
+                                config.num_edges / config.num_devices);
+        break;
+      case EdgePolicy::kRoundRobin:
+        edge = static_cast<int>(
+            rr_next++ % static_cast<std::int64_t>(config.num_edges));
+        break;
+      case EdgePolicy::kLeastLoaded: {
+        std::int64_t best = -1;
+        for (int g = 0; g < config.num_edges; ++g) {
+          const Station& st = stations[static_cast<std::size_t>(g)];
+          auto load = static_cast<std::int64_t>(st.queue.size());
+          for (const double free_at : st.server_free_at) {
+            if (free_at > now) ++load;
+          }
+          if (best < 0 || load < best) {
+            best = load;
+            edge = g;
           }
         }
-        push({.t = now + trace.latency_s,
-              .kind = Event::Kind::kStationArrival, .station = edge,
-              .job = job});
         break;
       }
+    }
+    push(now + trace.latency_s,
+         {.kind = Event::Kind::kStationArrival, .station = edge, .job = job});
+  };
+
+  double horizon = 0.0;
+  while (arrival_pending || !events.empty()) {
+    if (arrival_pending &&
+        (events.empty() || before(next.key, events.top()))) {
+      const Arrival arrival = next;
+      const double now = arrival.key.t;
+      horizon = std::max(horizon, now);
+      if (arrival.index + 1 < stream_length) {
+        next.index = arrival.index + 1;
+        next.key.t += gap_before(next.index);
+        next.key.seq = seq++;
+      } else {
+        arrival_pending = false;
+      }
+      enter(arrival.index, now);
+      continue;
+    }
+    const double now = events.top().t;
+    const Event ev = events.pop();
+    horizon = std::max(horizon, now);
+    switch (ev.kind) {
       case Event::Kind::kStationArrival: {
         Station& st = stations[static_cast<std::size_t>(ev.station)];
         if (static_cast<std::int64_t>(st.queue.size()) >=

@@ -18,9 +18,13 @@
 //     never crashed on), Poisson- or trace-driven arrivals, per-edge
 //     request batching that amortizes section forward passes over
 //     concurrent samples, and pluggable edge-selection policies (nearest /
-//     least-loaded / round-robin). Event processing is a single-threaded
-//     heap ordered by (time, schedule sequence), so results are
-//     byte-identical across reruns and DDNN_THREADS settings.
+//     least-loaded / round-robin). Event processing is single-threaded:
+//     a 4-ary heap of (time, schedule sequence, slot) keys over a slab of
+//     event payloads, with the one pending arrival kept outside the heap
+//     and taken whenever its key is before the heap's top. The sequence
+//     number is unique, so pops follow the strict (time, sequence) order
+//     and results are byte-identical across reruns and DDNN_THREADS
+//     settings.
 //
 // Input is a trace of per-sample outcomes from HierarchyRuntime (exit tier
 // and network latency), so the queueing layer composes with any trained
@@ -76,7 +80,8 @@ double exponential_from_uniform(double u, double rate_hz);
 /// `latency_s` is the network+compute latency without contention; samples
 /// with `exit_taken` past the first exit additionally queue for the cloud
 /// server. Dead traces (exit_taken == -1) are counted in `dead` and never
-/// reach the server.
+/// reach the server. Every other trace's `latency_s` must be finite and
+/// >= 0 (checked up front, as in simulate_fleet).
 QueueingStats simulate_stream(const std::vector<InferenceTrace>& traces,
                               const QueueingConfig& config,
                               std::int64_t stream_length = 2000);
@@ -195,7 +200,8 @@ struct FleetStats {
 };
 
 /// Simulate `stream_length` open-loop arrivals over the fleet topology,
-/// replaying `traces` cyclically. When `series` is given it must be freshly
+/// replaying `traces` cyclically; every trace with exit_taken >= 0 must
+/// carry a finite latency_s >= 0 (checked up front). When `series` is given it must be freshly
 /// constructed (no columns yet); the simulator registers fleet.* columns —
 /// arrivals/completed/local/escalated/dead/shed counters, a
 /// fleet.throughput_hz rate, a fleet.hdr_latency_ms column

@@ -176,6 +176,7 @@ HdrHistogram::View HdrHistogram::view() const {
     for (std::size_t b = 0; b < v.counts_.size(); ++b) {
       v.counts_[b] += s->counts[b].load(std::memory_order_relaxed);
     }
+    v.overflow_ += s->over.load(std::memory_order_relaxed);
   }
   for (const std::int64_t c : v.counts_) v.total_ += c;
   v.max_ = max();
@@ -197,6 +198,10 @@ int HdrHistogram::View::rank_bucket(double q) const {
 double HdrHistogram::View::percentile(double q) const {
   const int b = rank_bucket(q);
   if (b < 0) return 0.0;
+  // Overflowed samples exceed every in-range one, so they hold the top
+  // ranks; the top bucket's edge they were clamped into would understate
+  // them.
+  if (nearest_rank(q, total_) > total_ - overflow_) return max_;
   // Upper edge of the bucket (the supremum of values it can hold), clamped
   // to the exact recorded max so the top bucket reports a real value.
   const double edge =

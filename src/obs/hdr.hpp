@@ -16,9 +16,12 @@
 // associatively, extrema are commutative max/min, and the per-bucket
 // exemplar is merged by *smallest sample index* — an order-independent rule,
 // so reads never depend on DDNN_THREADS or recording interleaving. The
-// exact recorded max is tracked alongside the buckets, so `max()` (and any
-// percentile that resolves to the top occupied bucket) reports a real
-// recorded value, never a bucket edge.
+// exact recorded max is tracked alongside the buckets: `max()` is a real
+// recorded value, and no percentile reads above it. A value past
+// `max_value` is clamped into the top bucket and counted in overflow();
+// overflowed values exceed every in-range one, so they hold the top ranks,
+// and a rank among them reports the exact max instead of the top bucket's
+// edge (which would understate the tail).
 //
 // Read cost: a read merges every live shard's bucket counts once (one
 // bucket-sized buffer, one pass per shard that has recorded) and walks the
@@ -81,8 +84,9 @@ class HdrHistogram {
     /// Nearest-rank percentile at bucket granularity: the upper edge of the
     /// bucket holding the rank-q sample, clamped to the exact recorded max.
     /// Relative error vs the true sample percentile is <= 1/kSubBuckets,
-    /// plus at most one unit for values under kSubBuckets units.
-    /// q in (0, 1]; returns 0 when empty.
+    /// plus at most one unit for values under kSubBuckets units. A rank
+    /// held by an overflowed sample (above count - overflow) reads the
+    /// exact max. q in (0, 1]; returns 0 when empty.
     double percentile(double q) const;
     /// Exemplar of the bucket percentile(q) resolves to (invalid when empty
     /// or when no exemplar was ever recorded there).
@@ -97,6 +101,7 @@ class HdrHistogram {
     const HdrHistogram* hist_ = nullptr;
     std::vector<std::int64_t> counts_;
     std::int64_t total_ = 0;
+    std::int64_t overflow_ = 0;
     double max_ = 0.0;
   };
 

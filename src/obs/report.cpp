@@ -231,7 +231,7 @@ std::string line_chart(const std::string& title, const std::string& x_name,
      << "</text>\n";
 
   for (std::size_t i = 0; i < series.size(); ++i) {
-    const std::string cls = "s" + std::to_string(i % 6 + 1);
+    const std::string cls = std::string("s") + std::to_string(i % 6 + 1);
     std::ostringstream d;
     for (std::size_t p = 0; p < series[i].points.size(); ++p) {
       const auto& [x, y] = series[i].points[p];

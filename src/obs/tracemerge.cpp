@@ -93,7 +93,7 @@ std::string merge_traces_json(const std::vector<std::string>& input_paths,
         ddnn != nullptr ? ddnn->find("process") : nullptr;
     proc.name = pname != nullptr && pname->is_string() && !pname->s.empty()
                     ? pname->s
-                    : "p" + std::to_string(p);
+                    : std::string("p") + std::to_string(p);
     proc.epoch_s = meta_value(proc.doc, "epoch_s", 0.0);
     const JsonValue* events = proc.doc.find("traceEvents");
     DDNN_CHECK(events != nullptr && events->is_array(),

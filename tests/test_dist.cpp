@@ -639,6 +639,17 @@ TEST(Queueing, ValidatesInputs) {
       simulate_stream(traces, QueueingConfig{.arrival_rate_hz = 0.0}, 10),
       Error);
   EXPECT_THROW(simulate_stream(traces, QueueingConfig{}, 0), Error);
+  // Every classified trace needs a finite, non-negative latency: a NaN
+  // breaks the event order, a negative one schedules into the past.
+  for (const double bad : {std::nan(""), HUGE_VAL, -1e-3}) {
+    for (const int exit_taken : {0, 1}) {
+      auto bad_traces = traces;
+      bad_traces[7].exit_taken = exit_taken;
+      bad_traces[7].latency_s = bad;
+      EXPECT_THROW(simulate_stream(bad_traces, QueueingConfig{}, 10), Error)
+          << bad << " at exit " << exit_taken;
+    }
+  }
 }
 
 InferenceTrace trace_of(int exit_taken, double latency_s) {
@@ -1050,6 +1061,24 @@ TEST(FleetQueueing, ValidatesConfiguration) {
   bad = FleetConfig{};
   bad.arrival_rate_hz = 0.0;
   EXPECT_THROW(simulate_fleet(traces, bad, 10), Error);
+  // Malformed trace latencies are rejected up front, even with a series
+  // bound (where a negative one would otherwise surface as a backwards
+  // series clock); a dead trace's latency is never used, so it is not
+  // checked.
+  for (const double latency : {std::nan(""), HUGE_VAL, -1e-3}) {
+    for (const int exit_taken : {0, 1, 2}) {
+      const std::vector<InferenceTrace> malformed{
+          trace_of(1, 2e-3), trace_of(exit_taken, latency)};
+      obs::WindowedSeries fresh(1.0);
+      EXPECT_THROW(simulate_fleet(malformed, FleetConfig{}, 10, &fresh),
+                   Error)
+          << latency << " at exit " << exit_taken;
+    }
+  }
+  const std::vector<InferenceTrace> dead_nan{trace_of(1, 2e-3),
+                                             trace_of(-1, std::nan(""))};
+  EXPECT_EQ(simulate_fleet(dead_nan, FleetConfig{}, 10).dead, 5);
+  EXPECT_EQ(simulate_stream(dead_nan, QueueingConfig{}, 10).dead, 5);
   // The series must be freshly constructed: the simulator registers its
   // own fleet.* columns.
   obs::WindowedSeries dirty(1.0);

@@ -499,14 +499,34 @@ TEST(HdrHistogram, NegativeValuesLandInBucketZeroAndKeepRawMin) {
   EXPECT_EQ(h.overflow(), 1);  // only the value past max_value
   EXPECT_EQ(h.min(), -100.0);  // extrema keep the raw values
   EXPECT_EQ(h.max(), 1e9);
-  // The low sample reads at bucket 0's upper edge; the overflowed one at the
-  // top bucket's upper edge, since it was clamped there.
+  // The low sample reads at bucket 0's upper edge; the overflowed one reads
+  // the exact max, not the edge of the top bucket it was clamped into.
   EXPECT_EQ(h.percentile(0.5),
             static_cast<double>(HdrHistogram::bucket_upper_unit(0) + 1));
-  EXPECT_EQ(h.percentile(1.0),
+  EXPECT_EQ(h.percentile(1.0), 1e9);
+}
+
+TEST(HdrHistogram, OverflowedTailReadsTheExactMax) {
+  // 997 in-range samples and 3 past max_value: ranks up to 997 read bucket
+  // edges, the top three ranks read the exact max.
+  HdrHistogram h(1.0, 1000.0);
+  for (int i = 1; i <= 997; ++i) h.record(static_cast<double>(i % 500));
+  h.record(2000.0);
+  h.record(5e4);
+  h.record(3e6);
+  ASSERT_EQ(h.overflow(), 3);
+  const HdrHistogram::View v = h.view();
+  // Rank 500 of the in-range values is 250 (one-unit bucket, upper edge).
+  EXPECT_EQ(v.percentile(0.5), 251.0);
+  // Rank 997, the last in-range one: the largest in-range value, 499, read
+  // at its bucket's upper edge.
+  EXPECT_EQ(v.percentile(0.997),
             static_cast<double>(HdrHistogram::bucket_upper_unit(
-                                    HdrHistogram::bucket_for_unit(10)) +
+                                    HdrHistogram::bucket_for_unit(499)) +
                                 1));
+  EXPECT_EQ(v.percentile(0.998), 3e6);
+  EXPECT_EQ(v.percentile(0.999), 3e6);
+  EXPECT_EQ(v.percentile(1.0), 3e6);
 }
 
 TEST(HdrHistogram, PercentileRejectsBadRank) {
@@ -617,7 +637,8 @@ TEST(HdrHistogram, ReadsFromSeveralLiveShardsMatchBruteForce) {
   for (auto& w : workers) w.join();
 
   // Brute force: the bucket of the rank-q sorted sample, its upper edge
-  // clamped to the exact max, and the smallest sample index in the bucket.
+  // clamped to the exact max (the exact max itself when the sample is past
+  // max_value), and the smallest sample index in the bucket.
   const auto max_unit = static_cast<std::int64_t>(kMax / kUnit);
   const auto bucket_of = [&](double v) {
     return HdrHistogram::bucket_for_unit(
@@ -640,9 +661,13 @@ TEST(HdrHistogram, ReadsFromSeveralLiveShardsMatchBruteForce) {
     const double v = sorted[static_cast<std::size_t>(
         nearest_rank(q, kSamples) - 1)];
     const int b = bucket_of(v);
-    const double want = std::min(
-        static_cast<double>(HdrHistogram::bucket_upper_unit(b) + 1) * kUnit,
-        max_value);
+    const bool overflowed = static_cast<std::int64_t>(v / kUnit) > max_unit;
+    const double want =
+        overflowed ? max_value
+                   : std::min(static_cast<double>(
+                                  HdrHistogram::bucket_upper_unit(b) + 1) *
+                                  kUnit,
+                              max_value);
     const HdrExemplar ex = exemplar_of_bucket(b);
     EXPECT_EQ(h.percentile(q), want) << q;
     EXPECT_EQ(view.percentile(q), want) << q;
