@@ -2,7 +2,8 @@
 // paper's latency claims, Sections I and V).
 //
 // Per-sample traces from the simulated hierarchy are replayed as a Poisson
-// arrival stream; escalated samples contend for a single cloud server. At
+// arrival stream through simulate_fleet's single-queue configuration:
+// escalated samples contend for a single cloud server. At
 // low thresholds (everything offloaded) the cloud saturates as the arrival
 // rate approaches 1/service_time and tail latency explodes; at the paper's
 // operating threshold most samples never touch the shared queue.
@@ -37,13 +38,13 @@ int main() {
         100.0 * static_cast<double>(runtime.metrics().exit_counts[0]) /
         static_cast<double>(runtime.metrics().samples);
     for (const double hz : {20.0, 60.0, 90.0}) {
-      dist::QueueingConfig qcfg;
-      qcfg.arrival_rate_hz = hz;
-      qcfg.seed = env.seed;
-      const auto stats = dist::simulate_stream(traces, qcfg);
+      constexpr std::int64_t kStream = 2000;
+      const auto stats = dist::simulate_fleet(
+          traces, dist::single_queue_config(hz, 10e-3, env.seed, kStream),
+          kStream);
       table.add_row({Table::num(t, 1), Table::num(local_pct, 1),
                      Table::num(hz, 0),
-                     Table::num(100.0 * stats.cloud_utilization, 1),
+                     Table::num(100.0 * stats.cloud.utilization, 1),
                      Table::num(1e3 * stats.mean_latency_s, 1),
                      Table::num(1e3 * stats.p95_latency_s, 1),
                      Table::num(1e3 * stats.max_latency_s, 1)});

@@ -101,62 +101,32 @@ void check_trace_latencies(const std::vector<InferenceTrace>& traces) {
 
 }  // namespace
 
-QueueingStats simulate_stream(const std::vector<InferenceTrace>& traces,
-                              const QueueingConfig& config,
-                              std::int64_t stream_length) {
-  DDNN_CHECK(!traces.empty(), "queueing simulation needs at least one trace");
-  DDNN_CHECK(config.arrival_rate_hz > 0.0, "non-positive arrival rate");
-  DDNN_CHECK(config.cloud_service_s >= 0.0, "negative service time");
-  DDNN_CHECK(stream_length > 0, "non-positive stream length");
-  check_trace_latencies(traces);
-
-  Rng rng(config.seed);
-  QueueingStats stats;
-  stats.samples = stream_length;
-
-  std::vector<double> latencies;
-  latencies.reserve(static_cast<std::size_t>(stream_length));
-
-  double now = 0.0;              // arrival clock
-  double cloud_free_at = 0.0;    // single-server FIFO cloud
-  double cloud_busy_total = 0.0;
-
-  for (std::int64_t k = 0; k < stream_length; ++k) {
-    // Poisson arrivals: exponential inter-arrival times.
-    now += exponential_from_uniform(rng.uniform(), config.arrival_rate_hz);
-    const InferenceTrace& trace =
-        traces[static_cast<std::size_t>(k) % traces.size()];
-
-    if (trace.exit_taken < 0) {
-      // Dead trace: nothing classified it, so nothing is serviced. It must
-      // not occupy the cloud server or contribute a latency sample.
-      ++stats.dead;
-      continue;
-    }
-    if (trace.exit_taken == 0) {
-      // Local exit: device + gateway latency only, no shared resource.
-      latencies.push_back(trace.latency_s);
-      continue;
-    }
-    ++stats.escalated;
-    // The sample reaches the cloud after its network latency, then waits
-    // for the server.
-    const double at_cloud = now + trace.latency_s;
-    const double start = std::max(at_cloud, cloud_free_at);
-    const double done = start + config.cloud_service_s;
-    cloud_busy_total += config.cloud_service_s;
-    cloud_free_at = done;
-    latencies.push_back(done - now);
-  }
-
-  fill_latency_stats(latencies, stats.mean_latency_s, stats.p50_latency_s,
-                     stats.p95_latency_s, stats.max_latency_s);
-  const double horizon = std::max(now, cloud_free_at);
-  stats.cloud_utilization = horizon > 0.0 ? cloud_busy_total / horizon : 0.0;
-  return stats;
-}
-
 // ------------------------------------------------------ fleet-scale network
+
+FleetConfig single_queue_config(double arrival_rate_hz, double cloud_service_s,
+                                std::uint64_t seed,
+                                std::int64_t stream_length) {
+  DDNN_CHECK(stream_length > 0, "non-positive stream length");
+  FleetConfig config;
+  config.num_devices = 1;
+  config.num_edges = 1;
+  config.edge_servers = 1;
+  config.cloud_servers = 1;
+  config.edge_service_s = 0.0;
+  config.cloud_service_s = cloud_service_s;
+  config.edge_cloud_latency_s = 0.0;
+  config.max_batch = 1;
+  config.queue_capacity = stream_length;
+  config.first_cloud_exit = 1;
+  config.seed = seed;
+  Rng rng(seed);
+  config.interarrival_s.reserve(static_cast<std::size_t>(stream_length));
+  for (std::int64_t k = 0; k < stream_length; ++k) {
+    config.interarrival_s.push_back(
+        exponential_from_uniform(rng.uniform(), arrival_rate_hz));
+  }
+  return config;
+}
 
 EdgePolicy parse_edge_policy(const std::string& name) {
   if (name == "nearest") return EdgePolicy::kNearest;

@@ -3,35 +3,31 @@
 // The paper's latency argument (Sections I and V) is per-sample: samples
 // exiting locally skip the uplink. Under *load*, local exits matter even
 // more — escalated samples contend for shared edge/cloud resources, and
-// queueing delay compounds the transfer time. This module provides two
-// deterministic simulators over per-sample inference traces:
+// queueing delay compounds the transfer time. simulate_fleet is a
+// deterministic open-loop multi-server queueing network over per-sample
+// inference traces and an N-device × M-edge × multi-cloud topology:
+// per-edge and per-cloud server pools with bounded FIFO queues (overflow
+// is shed and counted, never crashed on), Poisson- or trace-driven
+// arrivals, per-edge request batching that amortizes section forward
+// passes over concurrent samples, and pluggable edge-selection policies
+// (nearest / least-loaded / round-robin). Event processing is
+// single-threaded: a 4-ary heap of (time, schedule sequence, slot) keys
+// over a slab of event payloads, with the one pending arrival kept outside
+// the heap and taken whenever its key is before the heap's top. The
+// sequence number is unique, so pops follow the strict (time, sequence)
+// order and results are byte-identical across reruns and DDNN_THREADS
+// settings.
 //
-//   * simulate_stream — the original single-server FIFO cloud: samples
-//     arrive as a Poisson process; locally exited samples finish after
-//     their device+gateway latency; escalated samples additionally pass
-//     through one cloud server. Kept as the analytically transparent M/D/1
-//     reference.
-//
-//   * simulate_fleet — an open-loop multi-server queueing network over an
-//     N-device × M-edge × multi-cloud topology: per-edge and per-cloud
-//     server pools with bounded FIFO queues (overflow is shed and counted,
-//     never crashed on), Poisson- or trace-driven arrivals, per-edge
-//     request batching that amortizes section forward passes over
-//     concurrent samples, and pluggable edge-selection policies (nearest /
-//     least-loaded / round-robin). Event processing is single-threaded:
-//     a 4-ary heap of (time, schedule sequence, slot) keys over a slab of
-//     event payloads, with the one pending arrival kept outside the heap
-//     and taken whenever its key is before the heap's top. The sequence
-//     number is unique, so pops follow the strict (time, sequence) order
-//     and results are byte-identical across reruns and DDNN_THREADS
-//     settings.
+// The paper-style single queue is one configuration of the same network
+// (single_queue_config below): escalated samples queue FIFO for one cloud
+// server after their network latency, an M/D/1 queue under Poisson
+// arrivals.
 //
 // Input is a trace of per-sample outcomes from HierarchyRuntime (exit tier
 // and network latency), so the queueing layer composes with any trained
 // model and threshold policy without re-running inference. Dead traces
-// (exit_taken == -1, produced by the fault layer) never occupy a server in
-// either simulator: they are counted separately and contribute no latency
-// sample.
+// (exit_taken == -1, produced by the fault layer) never occupy a server:
+// they are counted separately and contribute no latency sample.
 #pragma once
 
 #include <cstdint>
@@ -47,44 +43,11 @@
 
 namespace ddnn::dist {
 
-struct QueueingConfig {
-  /// Mean sample arrival rate of the whole camera fleet (samples/second).
-  double arrival_rate_hz = 20.0;
-  /// Cloud service time per escalated sample (NN layer processing).
-  double cloud_service_s = 10e-3;
-  std::uint64_t seed = 1;
-};
-
-struct QueueingStats {
-  std::int64_t samples = 0;
-  std::int64_t escalated = 0;
-  /// Dead traces (exit_taken == -1): counted here, excluded from the
-  /// server, the latency percentiles and the utilization horizon's load.
-  std::int64_t dead = 0;
-  double mean_latency_s = 0.0;
-  double p50_latency_s = 0.0;
-  double p95_latency_s = 0.0;
-  double max_latency_s = 0.0;
-  /// Busy fraction of the cloud server over the simulated horizon.
-  double cloud_utilization = 0.0;
-};
-
 /// Inverse-CDF exponential inter-arrival gap from a uniform draw u:
 /// -log(1 - u) / rate_hz, with u clamped below 1 so the gap is always
 /// finite (u == 1 would map to +inf and freeze the arrival clock).
 /// rate_hz must be positive; u outside [0, 1] is clamped into it.
 double exponential_from_uniform(double u, double rate_hz);
-
-/// Simulate a Poisson sample stream over per-sample inference traces
-/// (cycled if the stream is longer than the trace). Every trace's
-/// `latency_s` is the network+compute latency without contention; samples
-/// with `exit_taken` past the first exit additionally queue for the cloud
-/// server. Dead traces (exit_taken == -1) are counted in `dead` and never
-/// reach the server. Every other trace's `latency_s` must be finite and
-/// >= 0 (checked up front, as in simulate_fleet).
-QueueingStats simulate_stream(const std::vector<InferenceTrace>& traces,
-                              const QueueingConfig& config,
-                              std::int64_t stream_length = 2000);
 
 // ------------------------------------------------------ fleet-scale network
 
@@ -198,6 +161,18 @@ struct FleetStats {
   /// batches, shed, peak queue, utilization %).
   Table station_table() const;
 };
+
+/// The single-queue topology: one device, one edge that adds nothing
+/// (edge_service_s = 0, edge_cloud_latency_s = 0, max_batch = 1), one
+/// cloud server serving every trace past exit 0 in `cloud_service_s`, and
+/// a queue that never sheds. The `stream_length` Poisson gaps at
+/// `arrival_rate_hz` are drawn up front from Rng(seed) and replayed as
+/// interarrival_s, so the arrival times are that seed's plain exponential
+/// sequence: the simulator's own Poisson draws interleave with its
+/// per-arrival device draw.
+FleetConfig single_queue_config(double arrival_rate_hz, double cloud_service_s,
+                                std::uint64_t seed,
+                                std::int64_t stream_length);
 
 /// Simulate `stream_length` open-loop arrivals over the fleet topology,
 /// replaying `traces` cyclically; every trace with exit_taken >= 0 must

@@ -198,10 +198,18 @@ int HdrHistogram::View::rank_bucket(double q) const {
 double HdrHistogram::View::percentile(double q) const {
   const int b = rank_bucket(q);
   if (b < 0) return 0.0;
-  // Overflowed samples exceed every in-range one, so they hold the top
-  // ranks; the top bucket's edge they were clamped into would understate
-  // them.
-  if (nearest_rank(q, total_) > total_ - overflow_) return max_;
+  // The top rank is the recorded max. Overflowed samples exceed every
+  // in-range one, so they hold the top ranks; the top bucket's edge they
+  // were clamped into would understate them.
+  const std::int64_t rank = nearest_rank(q, total_);
+  if (rank == total_ || rank > total_ - overflow_) return max_;
+  // Below 2 * kSubBuckets units every bucket holds one unit count, so the
+  // bucket names the (integer-unit) value itself; the clamp keeps negative
+  // recordings, which land in bucket 0, from reading above the max.
+  if (b < 2 * kSubBuckets) {
+    return std::min(static_cast<double>(bucket_upper_unit(b)) * hist_->unit_,
+                    max_);
+  }
   // Upper edge of the bucket (the supremum of values it can hold), clamped
   // to the exact recorded max so the top bucket reports a real value.
   const double edge =

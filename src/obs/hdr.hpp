@@ -3,13 +3,15 @@
 //
 // Values are quantized to integer units (u = floor(v / unit)) and binned
 // into a log-linear layout: the first 128 buckets are exact (one unit
-// each), after which every power of two is split into 128 sub-buckets. A
-// bucket past the exact ones never spans more than 1/128 (~0.78%) of the
-// values it holds, so any percentile read from a bucket's upper edge is
-// within 1% of the true sample percentile, or one unit for values under 128
-// units (the resolution floor) — across the whole range up to `max_value`
-// (hours of latency at millisecond units) with a few thousand buckets, not
-// the millions a fixed-bin histogram would need.
+// each), after which every power of two is split into 128 sub-buckets, so
+// the [128, 256) octave is one unit per bucket too. A bucket under 256
+// units names its value, and a percentile read there is the recorded
+// integer-unit value itself (integer-valued metrics at unit 1, such as
+// byte counts, read exactly). A wider bucket never spans more than 1/128
+// (~0.78%) of the values it holds, so a percentile read from its upper
+// edge is within 1% of the true sample percentile — across the whole range
+// up to `max_value` (hours of latency at millisecond units) with a few
+// thousand buckets, not the millions a fixed-bin histogram would need.
 //
 // Determinism contract (docs/ARCHITECTURE.md "Observability"): recording is
 // sharded per thread exactly like obs::Counter; bucket counts sum
@@ -81,12 +83,13 @@ class HdrHistogram {
   /// must not outlive its histogram.
   class View {
    public:
-    /// Nearest-rank percentile at bucket granularity: the upper edge of the
-    /// bucket holding the rank-q sample, clamped to the exact recorded max.
-    /// Relative error vs the true sample percentile is <= 1/kSubBuckets,
-    /// plus at most one unit for values under kSubBuckets units. A rank
-    /// held by an overflowed sample (above count - overflow) reads the
-    /// exact max. q in (0, 1]; returns 0 when empty.
+    /// Nearest-rank percentile at bucket granularity. Under
+    /// 2 * kSubBuckets units a bucket holds one unit count and reads that
+    /// integer-unit value; above, the upper edge of the bucket holding the
+    /// rank-q sample, clamped to the exact recorded max, within
+    /// 1/kSubBuckets of the true sample percentile. The top rank, and a
+    /// rank held by an overflowed sample (above count - overflow), read
+    /// the exact max. q in (0, 1]; returns 0 when empty.
     double percentile(double q) const;
     /// Exemplar of the bucket percentile(q) resolves to (invalid when empty
     /// or when no exemplar was ever recorded there).

@@ -1,34 +1,12 @@
 #include "obs/profile.hpp"
 
-#include <algorithm>
-#include <atomic>
-#include <mutex>
 #include <string>
-#include <vector>
 
-#include "obs/metrics.hpp"  // thread_shard / kMetricShards
 #include "util/env.hpp"
-#include "util/error.hpp"
 
 namespace ddnn::obs {
 
 namespace {
-
-constexpr int kMaxOps = 128;
-
-struct alignas(64) OpShard {
-  std::atomic<std::int64_t> ns{0};
-  std::atomic<std::int64_t> calls{0};
-};
-
-// Fixed-capacity op table: ids are dense indices into g_data; names are
-// append-only under g_mu.
-std::mutex g_mu;
-std::vector<std::string>& op_names() {
-  static std::vector<std::string> names;
-  return names;
-}
-OpShard g_data[kMaxOps][kMetricShards];
 
 std::atomic<bool> g_enabled{[] {
   return env_bool("DDNN_PROFILE", false);
@@ -44,97 +22,19 @@ void set_profiling_enabled(bool on) {
   g_enabled.store(on, std::memory_order_relaxed);
 }
 
-int profile_register_op(const char* name) {
-  std::lock_guard<std::mutex> lock(g_mu);
-  auto& names = op_names();
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    if (names[i] == name) return static_cast<int>(i);
+void ProfileSite::record(std::int64_t ns) {
+  HdrHistogram* us = us_.load(std::memory_order_acquire);
+  if (us == nullptr) {
+    MetricsRegistry& registry = global_metrics();
+    const std::string prefix = std::string("prof.") + op_;
+    us = &registry.hdr_histogram(prefix + ".us", kProfileUnitUs,
+                                 kProfileMaxUs);
+    total_ns_.store(&registry.counter(prefix + ".total_ns"),
+                    std::memory_order_relaxed);
+    us_.store(us, std::memory_order_release);
   }
-  DDNN_CHECK(names.size() < kMaxOps,
-             "profile op table full (" << kMaxOps << " ops)");
-  names.emplace_back(name);
-  return static_cast<int>(names.size() - 1);
-}
-
-void profile_record(int op, std::int64_t ns) {
-  OpShard& s = g_data[op][thread_shard()];
-  s.ns.fetch_add(ns, std::memory_order_relaxed);
-  s.calls.fetch_add(1, std::memory_order_relaxed);
-}
-
-namespace {
-
-struct MergedOp {
-  std::string name;
-  std::int64_t calls = 0;
-  std::int64_t ns = 0;
-};
-
-std::vector<MergedOp> merged_ops() {
-  std::vector<std::string> names;
-  {
-    std::lock_guard<std::mutex> lock(g_mu);
-    names = op_names();
-  }
-  std::vector<MergedOp> out;
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    MergedOp m;
-    m.name = names[i];
-    for (int s = 0; s < kMetricShards; ++s) {
-      m.calls += g_data[i][s].calls.load(std::memory_order_relaxed);
-      m.ns += g_data[i][s].ns.load(std::memory_order_relaxed);
-    }
-    if (m.calls > 0) out.push_back(std::move(m));
-  }
-  return out;
-}
-
-}  // namespace
-
-Table profile_table() {
-  auto ops = merged_ops();
-  // Heaviest first; ties keep registration order (stable_sort).
-  std::stable_sort(ops.begin(), ops.end(),
-                   [](const MergedOp& a, const MergedOp& b) {
-                     return a.ns > b.ns;
-                   });
-  std::int64_t total_ns = 0;
-  for (const auto& op : ops) total_ns += op.ns;
-
-  Table table({"Op", "Calls", "Total ms", "us/call", "%"});
-  for (const auto& op : ops) {
-    const double ms = static_cast<double>(op.ns) / 1e6;
-    const double us_per_call =
-        static_cast<double>(op.ns) / 1e3 / static_cast<double>(op.calls);
-    const double pct = total_ns == 0
-                           ? 0.0
-                           : 100.0 * static_cast<double>(op.ns) /
-                                 static_cast<double>(total_ns);
-    table.add_row({op.name, std::to_string(op.calls), Table::num(ms, 3),
-                   Table::num(us_per_call, 2), Table::num(pct, 1)});
-  }
-  return table;
-}
-
-std::int64_t profile_calls(const char* name) {
-  for (const auto& op : merged_ops()) {
-    if (op.name == name) return op.calls;
-  }
-  return 0;
-}
-
-void profile_reset() {
-  std::size_t n;
-  {
-    std::lock_guard<std::mutex> lock(g_mu);
-    n = op_names().size();
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    for (int s = 0; s < kMetricShards; ++s) {
-      g_data[i][s].ns.store(0, std::memory_order_relaxed);
-      g_data[i][s].calls.store(0, std::memory_order_relaxed);
-    }
-  }
+  total_ns_.load(std::memory_order_relaxed)->add(ns);
+  us->record(static_cast<double>(ns) / 1e3);
 }
 
 }  // namespace ddnn::obs

@@ -1,7 +1,7 @@
 // Shared order-statistics helpers.
 //
 // Nearest-rank percentiles appear in two places (the exact sorted-sample
-// read behind dist::QueueingStats/FleetStats, and obs::HdrHistogram's
+// read behind dist::FleetStats, and obs::HdrHistogram's
 // bucket read); the HDR read must stay within its relative error bound of
 // the exact one (tests/test_obs.cpp), so the rank arithmetic lives here
 // exactly once.

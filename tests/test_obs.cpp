@@ -9,8 +9,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -327,39 +329,59 @@ TEST_F(ObsRuntimeFixture, TraceJsonAndBoundMetricsAreRerunIdentical) {
 
 // ---------------------------------------------------------------- profiling
 
+bool registered(const std::string& name) {
+  const auto names = global_metrics().names();
+  return std::find(names.begin(), names.end(), name) != names.end();
+}
+
+/// Calls booked under prof.<op>.us in the global registry (0 while the op
+/// has never fired armed, so nothing is registered).
+std::int64_t prof_calls(const std::string& op) {
+  const std::string name = "prof." + op + ".us";
+  if (!registered(name)) return 0;
+  return global_metrics()
+      .hdr_histogram(name, kProfileUnitUs, kProfileMaxUs)
+      .count();
+}
+
 TEST(Profile, DisabledHooksRecordNothing) {
+  // An unarmed site registers nothing, so an unarmed run's export is the
+  // same as if the site were absent.
   set_profiling_enabled(false);
-  profile_reset();
   {
-    DDNN_PROF_SCOPE("obs_test_op");
+    DDNN_PROF_SCOPE("obs_test_unarmed_op");
   }
-  EXPECT_EQ(profile_calls("obs_test_op"), 0);
+  EXPECT_FALSE(registered("prof.obs_test_unarmed_op.us"));
+  EXPECT_FALSE(registered("prof.obs_test_unarmed_op.total_ns"));
 }
 
 TEST(Profile, EnabledHooksCountCallsAndRenderTable) {
+  const std::int64_t before = prof_calls("obs_test_op");
   set_profiling_enabled(true);
-  profile_reset();
   for (int i = 0; i < 3; ++i) {
     DDNN_PROF_SCOPE("obs_test_op");
   }
   set_profiling_enabled(false);
-  EXPECT_EQ(profile_calls("obs_test_op"), 3);
-  const std::string table = profile_table().to_string();
-  EXPECT_NE(table.find("obs_test_op"), std::string::npos);
-  profile_reset();
-  EXPECT_EQ(profile_calls("obs_test_op"), 0);
+  EXPECT_EQ(prof_calls("obs_test_op") - before, 3);
+  // The exact-sum counter covers at least the longest call.
+  const HdrHistogram& h = global_metrics().hdr_histogram(
+      "prof.obs_test_op.us", kProfileUnitUs, kProfileMaxUs);
+  EXPECT_GE(static_cast<double>(
+                global_metrics().counter("prof.obs_test_op.total_ns").value()),
+            std::floor(h.max() * 1e3));
+  const std::string table = global_metrics().to_table().to_string();
+  EXPECT_NE(table.find("prof.obs_test_op.us"), std::string::npos);
 }
 
 TEST(Profile, KernelHooksCoverHotOpsWhenEnabled) {
+  const std::int64_t before = prof_calls("matmul");
   set_profiling_enabled(true);
-  profile_reset();
   Rng rng(3);
   const Tensor a = Tensor::randn(Shape{8, 16}, rng);
   const Tensor b = Tensor::randn(Shape{16, 8}, rng);
   ops::matmul(a, b);
   set_profiling_enabled(false);
-  EXPECT_EQ(profile_calls("matmul"), 1);
-  profile_reset();
+  EXPECT_EQ(prof_calls("matmul") - before, 1);
 }
 
 TEST(Profile, TrainerPhasesAndMetricsSink) {
@@ -371,8 +393,10 @@ TEST(Profile, TrainerPhasesAndMetricsSink) {
   core::DdnnModel model(
       core::DdnnConfig::preset(core::HierarchyPreset::kDevicesCloud));
 
+  const std::int64_t forward = prof_calls("train_forward");
+  const std::int64_t backward = prof_calls("train_backward");
+  const std::int64_t step = prof_calls("train_step");
   set_profiling_enabled(true);
-  profile_reset();
   MetricsRegistry reg;
   core::TrainConfig cfg;
   cfg.epochs = 1;
@@ -384,10 +408,9 @@ TEST(Profile, TrainerPhasesAndMetricsSink) {
   EXPECT_EQ(reg.counter("train.epochs").value(), 1);
   EXPECT_EQ(reg.counter("train.batches").value(), 2);
   EXPECT_EQ(reg.counter("train.samples").value(), 16);
-  EXPECT_EQ(profile_calls("train_forward"), 2);
-  EXPECT_EQ(profile_calls("train_backward"), 2);
-  EXPECT_EQ(profile_calls("train_step"), 2);
-  profile_reset();
+  EXPECT_EQ(prof_calls("train_forward") - forward, 2);
+  EXPECT_EQ(prof_calls("train_backward") - backward, 2);
+  EXPECT_EQ(prof_calls("train_step") - step, 2);
 }
 
 // -------------------------------------------------------------- HDR buckets
@@ -475,20 +498,38 @@ TEST(HdrHistogram, PercentileAllEqualIsThatValue) {
   }
 }
 
-TEST(HdrHistogram, PercentileInExactRangeIsNearestRankPlusOneUnit) {
-  // Under kSubBuckets units every bucket holds one unit, so the bucket read
-  // is the nearest-rank value plus one unit (its upper edge), clamped to the
-  // exact max at the top.
+TEST(HdrHistogram, PercentileInExactRangeIsTheNearestRankValue) {
+  // Under 2 * kSubBuckets units every bucket holds one unit, so an
+  // integer-valued sample reads back exactly: the nearest-rank value, not
+  // one unit above it. 256 units is the first two-unit bucket.
   HdrHistogram h(1.0, 1000.0);
   std::vector<double> sorted;
-  for (int v = 1; v <= 100; ++v) {
+  for (int v = 1; v <= 255; v += 2) {
     h.record(static_cast<double>(v));
     sorted.push_back(static_cast<double>(v));
   }
-  for (const double q : {0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0}) {
+  h.record(256.0);
+  sorted.push_back(256.0);
+  h.record(300.0);
+  sorted.push_back(300.0);
+  const HdrHistogram::View view = h.view();
+  for (const double q : {0.01, 0.25, 0.5, 0.9, 0.95}) {
     const double exact = ddnn::percentile_nearest_rank(sorted, q);
-    EXPECT_EQ(h.percentile(q), std::min(exact + 1.0, 100.0)) << q;
+    EXPECT_EQ(view.percentile(q), exact) << q;
   }
+  // Rank ceil(0.99 * 130) = 129 is 256, read at its two-unit bucket's
+  // exclusive upper edge.
+  EXPECT_EQ(view.percentile(0.99), 258.0);
+  EXPECT_EQ(view.percentile(1.0), 300.0);
+
+  // The top rank reads the exact max, so a lone fractional sample reads
+  // back as itself; a lower rank reads its bucket's integer-unit value.
+  HdrHistogram lone(1.0, 1000.0);
+  lone.record(72.5);
+  EXPECT_EQ(lone.percentile(0.5), 72.5);
+  lone.record(72.75);
+  EXPECT_EQ(lone.percentile(0.5), 72.0);
+  EXPECT_EQ(lone.percentile(1.0), 72.75);
 }
 
 TEST(HdrHistogram, NegativeValuesLandInBucketZeroAndKeepRawMin) {
@@ -499,16 +540,15 @@ TEST(HdrHistogram, NegativeValuesLandInBucketZeroAndKeepRawMin) {
   EXPECT_EQ(h.overflow(), 1);  // only the value past max_value
   EXPECT_EQ(h.min(), -100.0);  // extrema keep the raw values
   EXPECT_EQ(h.max(), 1e9);
-  // The low sample reads at bucket 0's upper edge; the overflowed one reads
+  // The low sample reads bucket 0's exact value; the overflowed one reads
   // the exact max, not the edge of the top bucket it was clamped into.
-  EXPECT_EQ(h.percentile(0.5),
-            static_cast<double>(HdrHistogram::bucket_upper_unit(0) + 1));
+  EXPECT_EQ(h.percentile(0.5), 0.0);
   EXPECT_EQ(h.percentile(1.0), 1e9);
 }
 
 TEST(HdrHistogram, OverflowedTailReadsTheExactMax) {
-  // 997 in-range samples and 3 past max_value: ranks up to 997 read bucket
-  // edges, the top three ranks read the exact max.
+  // 997 in-range samples and 3 past max_value: ranks up to 997 read their
+  // buckets, the top three ranks read the exact max.
   HdrHistogram h(1.0, 1000.0);
   for (int i = 1; i <= 997; ++i) h.record(static_cast<double>(i % 500));
   h.record(2000.0);
@@ -516,8 +556,8 @@ TEST(HdrHistogram, OverflowedTailReadsTheExactMax) {
   h.record(3e6);
   ASSERT_EQ(h.overflow(), 3);
   const HdrHistogram::View v = h.view();
-  // Rank 500 of the in-range values is 250 (one-unit bucket, upper edge).
-  EXPECT_EQ(v.percentile(0.5), 251.0);
+  // Rank 500 of the in-range values is 250 (one-unit bucket, exact).
+  EXPECT_EQ(v.percentile(0.5), 250.0);
   // Rank 997, the last in-range one: the largest in-range value, 499, read
   // at its bucket's upper edge.
   EXPECT_EQ(v.percentile(0.997),

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -506,17 +507,26 @@ TEST(TransportTelemetry, HotPathProfileHooks) {
   Link link("device0->edge");
   transport.attach(link.name(),
                    connect_to("127.0.0.1:" + std::to_string(peer.port()), 5.0));
-  obs::profile_reset();
+  // Each scope books into the global registry's prof.<op>.us histogram.
+  const std::vector<std::string> ops{"frame_encode", "frame_decode", "crc32",
+                                     "flush", "poll"};
+  const auto calls = [](const std::string& op) {
+    return obs::global_metrics()
+        .hdr_histogram("prof.transport." + op + ".us", obs::kProfileUnitUs,
+                       obs::kProfileMaxUs)
+        .count();
+  };
+  std::vector<std::int64_t> before;
+  for (const auto& op : ops) before.push_back(calls(op));
   obs::set_profiling_enabled(true);
   const Message msg = sample_message(MessageKind::kBinaryFeatureMap, 64);
   const SendResult res = transport.send(link, msg, 0);
   obs::set_profiling_enabled(false);
   ASSERT_TRUE(res.delivered);
-  EXPECT_GT(obs::profile_calls("transport.frame_encode"), 0);
-  EXPECT_GT(obs::profile_calls("transport.frame_decode"), 0);  // the ACK
-  EXPECT_GT(obs::profile_calls("transport.crc32"), 0);
-  EXPECT_GT(obs::profile_calls("transport.flush"), 0);
-  EXPECT_GT(obs::profile_calls("transport.poll"), 0);
+  // frame_decode fires on the ACK.
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    EXPECT_GT(calls(ops[i]), before[i]) << ops[i];
+  }
 }
 
 // Conformance: a multi-megabyte message survives arbitrary read/write

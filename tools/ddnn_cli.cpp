@@ -149,7 +149,7 @@ void record_mem_peaks(obs::LedgerRecord& rec) {
 void add_profile_flag(ArgParser& args) {
   args.add_flag("profile",
                 "collect wall-clock per-op timings (same as DDNN_PROFILE=1) "
-                "and print the table on exit");
+                "into the metrics registry and print it on exit");
 }
 
 /// Arm profiling when --profile was given (DDNN_PROFILE=1 also arms it).
@@ -157,11 +157,12 @@ void apply_profile_flag(const ArgParser& args) {
   if (args.has_flag("profile")) obs::set_profiling_enabled(true);
 }
 
-/// Print the per-op wall-clock table when profiling was armed.
+/// Print the metrics registry, whose prof.<op>.* entries hold the per-op
+/// wall-clock timings, when profiling was armed.
 void report_profile() {
   if (!obs::profiling_enabled()) return;
-  std::printf("\nwall-clock profile:\n%s",
-              obs::profile_table().to_string().c_str());
+  std::printf("\nmetrics (prof.* = wall-clock profile):\n%s",
+              obs::global_metrics().to_table().to_string().c_str());
 }
 
 /// Start a ledger record pre-filled with the identity flags every
