@@ -1,6 +1,7 @@
 #include "dist/queueing.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -282,20 +283,22 @@ struct Station {
   StationStats stats;
 };
 
+/// The fleet.* counter columns and the FleetStats totals behind them.
+constexpr std::array<const char*, 6> kCounterColumns{
+    "fleet.arrivals", "fleet.completed", "fleet.local",
+    "fleet.escalated", "fleet.dead",     "fleet.shed"};
+std::array<std::int64_t, 6> counter_totals(const FleetStats& s) {
+  return {s.arrivals, s.completed, s.local, s.escalated, s.dead, s.shed};
+}
+
 /// fleet.* series column handles (all -1 when no series is bound).
 struct FleetSeries {
   obs::WindowedSeries* series = nullptr;
-  int arrivals = -1;
-  int completed = -1;
-  int local = -1;
-  int escalated = -1;
-  int dead = -1;
-  int shed = -1;
+  std::array<int, 6> counters{};  // kCounterColumns order
   int hdr_latency_ms = -1;
   int queue_depth = -1;
   std::vector<int> station_queue;  // per-station queue gauge, cloud last
 };
-
 
 /// Station metric name: fleet.station.edge<g> / fleet.station.cloud.
 std::string station_prefix(int station, int cloud_idx) {
@@ -346,13 +349,10 @@ FleetStats simulate_fleet(const std::vector<InferenceTrace>& traces,
                "simulate_fleet needs a freshly constructed series (it "
                "registers its own fleet.* columns)");
     fs.series = series;
-    fs.arrivals = series->add_counter("fleet.arrivals");
-    fs.completed = series->add_counter("fleet.completed");
-    fs.local = series->add_counter("fleet.local");
-    fs.escalated = series->add_counter("fleet.escalated");
-    fs.dead = series->add_counter("fleet.dead");
-    fs.shed = series->add_counter("fleet.shed");
-    series->add_rate("fleet.throughput_hz", fs.completed);
+    for (std::size_t i = 0; i < kCounterColumns.size(); ++i) {
+      fs.counters[i] = series->add_counter(kCounterColumns[i]);
+    }
+    series->add_rate("fleet.throughput_hz", fs.counters[1]);  // completed
     fs.hdr_latency_ms =
         series->add_hdr("fleet.hdr_latency_ms", kHdrUnitMs, kHdrMaxMs);
     fs.queue_depth = series->add_gauge("fleet.queue_depth");
@@ -361,19 +361,16 @@ FleetStats simulate_fleet(const std::vector<InferenceTrace>& traces,
           series->add_gauge(station_prefix(g, cloud_idx) + ".queue"));
     }
   }
-  const auto tick = [&fs](int col, double t, double v) {
-    if (fs.series != nullptr) fs.series->record(col, t, v);
-  };
 
-  // The tail histogram always runs (FleetStats reports p99/p99.9 and their
-  // exemplars even without a registry); a bound registry shares it so the
-  // same buckets land in the metrics export.
-  obs::HdrHistogram local_hdr(kHdrUnitMs, kHdrMaxMs);
-  obs::HdrHistogram& hdr =
-      registry != nullptr
-          ? registry->hdr_histogram("fleet.hdr_latency_ms", kHdrUnitMs,
-                                    kHdrMaxMs)
-          : local_hdr;
+  // Every completion lands in one single-writer accumulator: FleetStats
+  // reads p99/p99.9 and their exemplars from it, and a bound registry gets
+  // it merged into fleet.hdr_latency_ms once, at the end (registered here,
+  // so the export keeps its registration order).
+  obs::HdrHistogram::Local latency_hdr(kHdrUnitMs, kHdrMaxMs);
+  obs::HdrHistogram* registry_hdr =
+      registry != nullptr ? &registry->hdr_histogram("fleet.hdr_latency_ms",
+                                                     kHdrUnitMs, kHdrMaxMs)
+                          : nullptr;
 
   int slo_latency = -1;
   int slo_availability = -1;
@@ -489,7 +486,6 @@ FleetStats simulate_fleet(const std::vector<InferenceTrace>& traces,
   // One open-loop arrival at `now`: route its trace into the network.
   const auto enter = [&](std::int64_t index, double now) {
     ++stats.arrivals;
-    tick(fs.arrivals, now, 1.0);
     const int device = static_cast<int>(
         rng.uniform_index(static_cast<std::uint64_t>(config.num_devices)));
     const InferenceTrace& trace =
@@ -499,7 +495,6 @@ FleetStats simulate_fleet(const std::vector<InferenceTrace>& traces,
       // queueing server or contribute a latency sample. It does count
       // against availability: the fleet failed to classify it.
       ++stats.dead;
-      tick(fs.dead, now, 1.0);
       if (slo != nullptr) slo->record(slo_availability, now, false);
       return;
     }
@@ -546,6 +541,43 @@ FleetStats simulate_fleet(const std::vector<InferenceTrace>& traces,
          {.kind = Event::Kind::kStationArrival, .station = edge, .job = job});
   };
 
+  // Counter and gauge columns take one write per window, at the clock of
+  // the window's last event: the counters write the growth of the
+  // FleetStats totals since the last write, the gauges the queue state the
+  // loop keeps. Only a station arrival or a server free at a station
+  // changes its queue, so the state after the window's last event is the
+  // last queue size of the window.
+  std::array<std::int64_t, 6> written{};  // counter totals at the last write
+  bool window_open = false;
+  double window_t = 0.0;    // clock of the open window's latest event
+  double window_end = 0.0;  // first clock past the open window
+  const auto write_window = [&] {
+    const std::array<std::int64_t, 6> totals = counter_totals(stats);
+    for (std::size_t i = 0; i < totals.size(); ++i) {
+      fs.series->record(fs.counters[i], window_t,
+                        static_cast<double>(totals[i] - written[i]));
+    }
+    written = totals;
+    fs.series->record(fs.queue_depth, window_t,
+                      static_cast<double>(queued_total));
+    for (std::size_t g = 0; g < stations.size(); ++g) {
+      fs.series->record(fs.station_queue[g], window_t,
+                        static_cast<double>(stations[g].queue.size()));
+    }
+  };
+  // Called with each event's clock before the event runs, so a window's
+  // writes precede every record into a later one.
+  const auto enter_window = [&](double now) {
+    if (now >= window_end) {
+      if (window_open) write_window();
+      const double width = fs.series->width();
+      window_end = obs::window_start(
+          width, static_cast<std::int64_t>(now / width) + 1);
+      window_open = true;
+    }
+    window_t = now;
+  };
+
   double horizon = 0.0;
   while (arrival_pending || !events.empty()) {
     if (arrival_pending &&
@@ -553,6 +585,7 @@ FleetStats simulate_fleet(const std::vector<InferenceTrace>& traces,
       const Arrival arrival = next;
       const double now = arrival.key.t;
       horizon = std::max(horizon, now);
+      if (fs.series != nullptr) enter_window(now);
       if (arrival.index + 1 < stream_length) {
         next.index = arrival.index + 1;
         next.key.t += gap_before(next.index);
@@ -566,6 +599,7 @@ FleetStats simulate_fleet(const std::vector<InferenceTrace>& traces,
     const double now = events.top().t;
     const Event ev = events.pop();
     horizon = std::max(horizon, now);
+    if (fs.series != nullptr) enter_window(now);
     switch (ev.kind) {
       case Event::Kind::kStationArrival: {
         Station& st = stations[static_cast<std::size_t>(ev.station)];
@@ -575,7 +609,6 @@ FleetStats simulate_fleet(const std::vector<InferenceTrace>& traces,
           // counted at both the station and the network, never crashed on.
           ++st.stats.shed;
           ++stats.shed;
-          tick(fs.shed, now, 1.0);
           if (slo != nullptr) slo->record(slo_availability, now, false);
           break;
         }
@@ -584,41 +617,24 @@ FleetStats simulate_fleet(const std::vector<InferenceTrace>& traces,
         st.stats.peak_queue = std::max(
             st.stats.peak_queue, static_cast<std::int64_t>(st.queue.size()));
         dispatch(ev.station, now);
-        tick(fs.queue_depth, now, static_cast<double>(queued_total));
-        if (!fs.station_queue.empty()) {
-          tick(fs.station_queue[static_cast<std::size_t>(ev.station)], now,
-               static_cast<double>(st.queue.size()));
-        }
         break;
       }
-      case Event::Kind::kServerFree: {
+      case Event::Kind::kServerFree:
         dispatch(ev.station, now);
-        tick(fs.queue_depth, now, static_cast<double>(queued_total));
-        if (!fs.station_queue.empty()) {
-          tick(fs.station_queue[static_cast<std::size_t>(ev.station)], now,
-               static_cast<double>(
-                   stations[static_cast<std::size_t>(ev.station)]
-                       .queue.size()));
-        }
         break;
-      }
       case Event::Kind::kDone: {
         const double latency = now - ev.job.entry_t;
         latencies.push_back(latency);
         ++stats.completed;
-        tick(fs.completed, now, 1.0);
         if (ev.job.local) {
           ++stats.local;
-          tick(fs.local, now, 1.0);
         } else {
           ++stats.escalated;
-          tick(fs.escalated, now, 1.0);
         }
         const double latency_ms = 1e3 * latency;
-        hdr.record(latency_ms, ev.job.trace_id, ev.job.index);
+        latency_hdr.record(latency_ms, ev.job.trace_id, ev.job.index);
         if (fs.series != nullptr) {
-          fs.series->record(fs.hdr_latency_ms, now, latency_ms,
-                            ev.job.trace_id, ev.job.index);
+          fs.series->record(fs.hdr_latency_ms, now, latency_ms);
         }
         if (slo != nullptr) {
           slo->record(slo_latency, now, latency_ms <= config.slo_latency_ms);
@@ -629,10 +645,12 @@ FleetStats simulate_fleet(const std::vector<InferenceTrace>& traces,
     }
   }
 
+  if (window_open) write_window();
   fill_latency_stats(latencies, stats.mean_latency_s, stats.p50_latency_s,
                      stats.p95_latency_s, stats.max_latency_s);
-  if (hdr.count() > 0) {
-    const obs::HdrHistogram::View tail = hdr.view();
+  if (registry_hdr != nullptr) registry_hdr->merge(latency_hdr);
+  if (latency_hdr.count() > 0) {
+    const obs::HdrHistogram::View tail = latency_hdr.view();
     stats.p99_latency_s = 1e-3 * tail.percentile(0.99);
     stats.p999_latency_s = 1e-3 * tail.percentile(0.999);
     stats.p99_exemplar = tail.exemplar_at(0.99);

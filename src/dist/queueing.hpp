@@ -181,10 +181,15 @@ FleetConfig single_queue_config(double arrival_rate_hz, double cloud_service_s,
 /// arrivals/completed/local/escalated/dead/shed counters, a
 /// fleet.throughput_hz rate, a fleet.hdr_latency_ms column
 /// (.n/.p50/.p95/.p99/.p999/.max), per-station queue gauges and a
-/// fleet.queue_depth gauge — and records every event at its simulated time,
-/// so exports are byte-identical across reruns and DDNN_THREADS settings.
+/// fleet.queue_depth gauge — on the simulated clock, so exports are
+/// byte-identical across reruns and DDNN_THREADS settings. The hdr column
+/// takes every completion; the counter and gauge columns take one write
+/// per window (the counts' growth and the queue state at the window's last
+/// event), flushed when an event falls in a later window and at the end.
 ///
-/// When `registry` is given the simulator additionally publishes a
+/// The latency tail is one single-writer HdrHistogram::Local per call;
+/// FleetStats reads its p99/p99.9 and exemplars. When `registry` is given
+/// the simulator additionally merges it, once, into a
 /// fleet.hdr_latency_ms HDR histogram (with trace exemplars) and
 /// fleet.station.* counters/gauges (served/batches/shed/peak_queue/
 /// utilization per station). When `slo` is given it registers (get-or-

@@ -331,8 +331,7 @@ void RunBook::sample(const InferenceTrace& trace, std::int64_t label,
                           trace.trace_id, sample_index);
   }
   if (series_ != nullptr) {
-    series_->record(hdr_latency_col_, t, latency_ms, trace.trace_id,
-                    sample_index);
+    series_->record(hdr_latency_col_, t, latency_ms);
   }
 }
 

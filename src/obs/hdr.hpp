@@ -31,6 +31,14 @@
 // view() and reads them all from it; percentile(), exemplar_at() and
 // max_exemplar() on the histogram are one-shot views.
 //
+// Single writer: HdrHistogram::Local is the same bucket layout held in
+// plain (non-atomic) fields for a sink with one writer — a simulator event
+// loop, a WindowedSeries column. It records inline without atomics or an
+// exemplar CAS, reads through the same View (in place, no merge copy), and
+// folds into a sharded histogram with merge(): one atomic add per occupied
+// bucket under the same smallest-sample-index exemplar rule, so a merged
+// accumulator reads exactly like its samples recorded directly.
+//
 // Trace exemplars: record(v, trace_id, sample_index) retains, per bucket,
 // the (trace_id, sample_index) pair with the smallest sample index — the
 // first sample to land there under any serial recording order. Reading a
@@ -38,8 +46,12 @@
 // trace export) that produced it: "p99.9 = 412 ms, e.g. sample 31415".
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -67,20 +79,26 @@ class HdrHistogram {
   /// are counted in overflow()) but still update the exact max.
   HdrHistogram(double unit, double max_value);
 
+  class Local;
+
   void record(double v) { record(v, 0, -1); }
   /// Record with a trace exemplar. Exemplars follow the smallest-sample-
   /// index rule, so pass the deterministic per-run sample index.
   void record(double v, std::uint64_t trace_id, std::int64_t sample_index);
+  /// Fold a single-writer accumulator in, as if its samples were recorded
+  /// here: one atomic add per occupied bucket, the exemplars under the
+  /// smallest-sample-index rule. The layouts (unit, max_value) must match.
+  void merge(const Local& local);
 
   std::int64_t count() const;
   std::int64_t overflow() const;  ///< recordings clamped into the top bucket
   double min() const;             ///< exact smallest recorded value (0 empty)
   double max() const;             ///< exact largest recorded value (0 empty)
 
-  /// One merged read: the bucket counts of every live shard summed once,
-  /// plus the exact max. Ranks read from one view agree with each other.
-  /// Exemplars are looked up in the histogram when asked for, so a view
-  /// must not outlive its histogram.
+  /// One merged read: the bucket counts of every live shard summed once
+  /// (a Local's counts are read in place), plus the exact max. Ranks read
+  /// from one view agree with each other. Exemplars are looked up in the
+  /// source when asked for, so a view must not outlive its histogram.
   class View {
    public:
     /// Nearest-rank percentile at bucket granularity. Under
@@ -100,12 +118,17 @@ class HdrHistogram {
    private:
     friend class HdrHistogram;
     int rank_bucket(double q) const;  // -1 when empty
+    const std::int64_t* counts() const;
+    HdrExemplar exemplar(int b) const;
 
-    const HdrHistogram* hist_ = nullptr;
-    std::vector<std::int64_t> counts_;
+    const HdrHistogram* hist_ = nullptr;  // sharded source
+    const Local* local_ = nullptr;        // single-writer source
+    std::vector<std::int64_t> merged_;    // sharded source's summed counts
+    std::size_t buckets_ = 0;
     std::int64_t total_ = 0;
     std::int64_t overflow_ = 0;
     double max_ = 0.0;
+    double unit_ = 0.0;
   };
 
   View view() const;
@@ -123,12 +146,32 @@ class HdrHistogram {
 
   /// Bucket layout math, shared with tests: bucket index of an integer
   /// unit count, and a bucket's inclusive upper edge in units.
-  static int bucket_for_unit(std::int64_t u);
+  static int bucket_for_unit(std::int64_t u) {
+    if (u < 0) u = 0;
+    if (u < kSubBuckets) return static_cast<int>(u);
+    // Shift u down until it sits in [kSubBuckets, 2*kSubBuckets): k
+    // doublings past the linear range, each power of two split into
+    // kSubBuckets slots.
+    const int k = std::bit_width(static_cast<std::uint64_t>(u)) -
+                  std::bit_width(static_cast<std::uint64_t>(kSubBuckets));
+    return kSubBuckets * k + static_cast<int>(u >> k);
+  }
   static std::int64_t bucket_upper_unit(int b);
 
   void reset();
 
  private:
+  /// Layout check shared by both constructors; returns the top unit count.
+  static std::int64_t max_unit_of(double unit, double max_value);
+  /// Bucket of a recorded value: quantized to units, clamped into the top
+  /// bucket (setting `clamped`) past max_unit.
+  static int bucket_of(double v, double unit, std::int64_t max_unit,
+                       bool& clamped) {
+    auto u = static_cast<std::int64_t>(std::max(v, 0.0) / unit);
+    clamped = u > max_unit;
+    return bucket_for_unit(clamped ? max_unit : u);
+  }
+
   struct Exemplar {
     std::atomic<std::int64_t> sample{-1};
     std::atomic<std::uint64_t> trace{0};
@@ -155,6 +198,54 @@ class HdrHistogram {
   std::vector<std::atomic<Shard*>> shards_;
   std::vector<std::unique_ptr<Shard>> owned_;
   std::mutex alloc_mu_;
+};
+
+/// Single-writer accumulator on HdrHistogram's bucket layout: the counts,
+/// extrema, n, overflow and smallest-index exemplars of a sharded
+/// histogram in plain fields. Not thread-safe: one writer, reads from that
+/// writer (or after it is done). Reads go through HdrHistogram::View;
+/// HdrHistogram::merge() publishes it into a shared histogram.
+class HdrHistogram::Local {
+ public:
+  Local(double unit, double max_value);
+
+  void record(double v) { record(v, 0, -1); }
+  void record(double v, std::uint64_t trace_id, std::int64_t sample_index) {
+    bool clamped = false;
+    const auto b =
+        static_cast<std::size_t>(bucket_of(v, unit_, max_unit_, clamped));
+    if (clamped) ++over_;
+    ++counts_[b];
+    if (v < mn_) mn_ = v;
+    if (v > mx_) mx_ = v;
+    ++n_;
+    if (sample_index >= 0) offer_exemplar(b, trace_id, sample_index);
+  }
+
+  std::int64_t count() const { return n_; }
+  std::int64_t overflow() const { return over_; }
+  double min() const { return std::isinf(mn_) ? 0.0 : mn_; }
+  double max() const { return std::isinf(mx_) ? 0.0 : mx_; }
+  View view() const;
+
+  void reset();
+
+ private:
+  friend class HdrHistogram;
+  void offer_exemplar(std::size_t b, std::uint64_t trace_id,
+                      std::int64_t sample_index);
+
+  double unit_;
+  double max_value_;
+  std::int64_t max_unit_;
+  std::vector<std::int64_t> counts_;
+  /// Sized on the first exemplar, so a sink that never takes one (a
+  /// series column) neither allocates nor clears them.
+  std::vector<HdrExemplar> exemplars_;
+  double mn_ = std::numeric_limits<double>::infinity();
+  double mx_ = -std::numeric_limits<double>::infinity();
+  std::int64_t n_ = 0;
+  std::int64_t over_ = 0;
 };
 
 }  // namespace ddnn::obs

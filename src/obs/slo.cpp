@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "obs/json.hpp"
+#include "obs/timeseries.hpp"
 #include "util/error.hpp"
 
 namespace ddnn::obs {
@@ -68,7 +69,7 @@ int SloEngine::objective_id(const std::string& name) const {
   return -1;
 }
 
-void SloEngine::record(int id, double t, bool good) {
+void SloEngine::record_slow(int id, double t, bool good) {
   DDNN_CHECK(id >= 0 && id < static_cast<int>(objectives_.size()),
              "record into unknown slo objective " << id);
   DDNN_CHECK(t >= 0.0, "slo clock " << t << " is negative");
@@ -81,6 +82,9 @@ void SloEngine::record(int id, double t, bool good) {
     o.good.resize(b + 1, 0);
     o.bad.resize(b + 1, 0);
   }
+  o.open_bucket = b;
+  o.open_lo = window_start(o.bucket_width, static_cast<std::int64_t>(b));
+  o.open_hi = window_start(o.bucket_width, static_cast<std::int64_t>(b) + 1);
   if (good) {
     ++o.good[b];
     ++o.total_good;

@@ -86,7 +86,25 @@ class SloEngine {
   int objective_id(const std::string& name) const;
 
   /// Record one event outcome at clock `t` (monotone per engine, >= 0).
-  void record(int id, double t, bool good);
+  /// Inline while `t` stays in the objective's open bucket; the checks and
+  /// the bucket advance run out of line.
+  void record(int id, double t, bool good) {
+    if (static_cast<std::size_t>(id) < objectives_.size()) {
+      Objective& o = objectives_[static_cast<std::size_t>(id)];
+      if (t >= last_t_ && t >= o.open_lo && t < o.open_hi) {
+        last_t_ = t;
+        if (good) {
+          ++o.good[o.open_bucket];
+          ++o.total_good;
+        } else {
+          ++o.bad[o.open_bucket];
+          ++o.total_bad;
+        }
+        return;
+      }
+    }
+    record_slow(id, t, good);
+  }
 
   /// Evaluate every objective at the latest recorded clock, in
   /// registration order.
@@ -112,7 +130,16 @@ class SloEngine {
     std::vector<std::int64_t> bad;
     std::int64_t total_good = 0;
     std::int64_t total_bad = 0;
+    /// Clock range [open_lo, open_hi) of bucket open_bucket, the last one
+    /// recorded into (window_start() math: membership is exactly
+    /// static_cast<size_t>(t / bucket_width)); empty until the first
+    /// record.
+    std::size_t open_bucket = 0;
+    double open_lo = 0.0;
+    double open_hi = 0.0;
   };
+
+  void record_slow(int id, double t, bool good);
 
   /// Burn rate over the trailing `window` ending at the current clock.
   double window_burn(const Objective& o, double window) const;

@@ -1,12 +1,31 @@
 #include "obs/timeseries.hpp"
 
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "obs/json.hpp"
 #include "util/error.hpp"
 
 namespace ddnn::obs {
+
+double window_start(double width, std::int64_t k) {
+  if (k <= 0) return 0.0;
+  // t / width rounds monotonically in t, so "reaches window k" flips once;
+  // k * width lands within a few ulps of that flip.
+  const auto reaches = [width, k](double t) {
+    return static_cast<std::int64_t>(t / width) >= k;
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double t = static_cast<double>(k) * width;
+  while (!reaches(t)) t = std::nextafter(t, kInf);
+  for (double below = std::nextafter(t, 0.0); reaches(below);
+       below = std::nextafter(t, 0.0)) {
+    t = below;
+  }
+  return t;
+}
 
 WindowedSeries::WindowedSeries(double width, std::string axis)
     : width_(width), axis_(std::move(axis)) {
@@ -66,11 +85,12 @@ int WindowedSeries::add_hdr(const std::string& name, double unit,
                             double max_value) {
   const int col = add_column(name, Kind::kHdr);
   columns_[static_cast<std::size_t>(col)].hdr =
-      std::make_unique<HdrHistogram>(unit, max_value);
+      std::make_unique<HdrHistogram::Local>(unit, max_value);
   return col;
 }
 
-WindowedSeries::HdrCells WindowedSeries::hdr_cells(const HdrHistogram& h) {
+WindowedSeries::HdrCells WindowedSeries::hdr_cells(
+    const HdrHistogram::Local& h) {
   const HdrHistogram::View v = h.view();
   return {static_cast<double>(h.count()), v.percentile(0.50),
           v.percentile(0.95), v.percentile(0.99), v.percentile(0.999),
@@ -102,13 +122,7 @@ void WindowedSeries::flush_window() {
   open_window_active_ = false;
 }
 
-void WindowedSeries::record(int col, double t, double value) {
-  record(col, t, value, 0, -1);
-}
-
-void WindowedSeries::record(int col, double t, double value,
-                            std::uint64_t trace_id,
-                            std::int64_t sample_index) {
+void WindowedSeries::record_slow(int col, double t, double value) {
   DDNN_CHECK(col >= 0 && col < static_cast<int>(columns_.size()),
              "record into unknown series column " << col);
   DDNN_CHECK(t >= 0.0, "series clock " << t << " is negative");
@@ -118,6 +132,8 @@ void WindowedSeries::record(int col, double t, double value,
                                    << t << " is before window " << cur_window_
                                    << " (the recording clocks are monotone)");
   while (cur_window_ < w) flush_window();
+  open_lo_ = window_start(width_, cur_window_);
+  open_hi_ = window_start(width_, cur_window_ + 1);
   Column& c = columns_[static_cast<std::size_t>(col)];
   switch (c.kind) {
     case Kind::kCounter:
@@ -132,7 +148,7 @@ void WindowedSeries::record(int col, double t, double value,
       c.has_last = true;
       break;
     case Kind::kHdr:
-      c.hdr->record(value, trace_id, sample_index);
+      c.hdr->record(value);
       break;
     case Kind::kRatio:
     case Kind::kRate:

@@ -24,10 +24,19 @@
 // with the final MetricsRegistry snapshot (scripts/check_trace.py
 // --series checks this for every column named after a registry counter).
 //
-// Windows are half-open [k*width, (k+1)*width) on the recording clock.
-// Export emits every window from 0 through the last recorded one, including
-// empty interior windows (counters 0, gauges carried, hdr columns n=0) — an
+// Windows are half-open [k*width, (k+1)*width) on the recording clock:
+// clock t falls in window static_cast<int64_t>(t / width). Export emits
+// every window from 0 through the last recorded one, including empty
+// interior windows (counters 0, gauges carried, hdr columns n=0) — an
 // outage window shows up as a flat-lined row, not a gap in the axis.
+//
+// Recording cost: record() is inline for a clock inside the open window's
+// cached range, which window_start() computes so that membership is exactly
+// the division above (a plain t < (k+1)*width test differs at rounding
+// edges). Every check — unknown or derived column, negative or NaN clock, a
+// clock before the open window, a negative counter delta — and the window
+// flush run out of line. Hdr columns are single-writer
+// HdrHistogram::Local accumulators: no atomics, no shards.
 #pragma once
 
 #include <array>
@@ -39,6 +48,11 @@
 #include "obs/hdr.hpp"
 
 namespace ddnn::obs {
+
+/// First clock of window k at width `width`: the smallest t >= 0 with
+/// static_cast<int64_t>(t / width) >= k (0 for k <= 0). Window k is
+/// exactly [window_start(width, k), window_start(width, k + 1)).
+double window_start(double width, std::int64_t k);
 
 class WindowedSeries {
  public:
@@ -66,12 +80,34 @@ class WindowedSeries {
   /// Record `value` into column `col` at clock `t`. `t` must be >= 0 and
   /// must not precede the current window (the clocks we key on are
   /// monotone). Counter columns reject negative values: a counter reset
-  /// must not wrap a window delta negative.
-  void record(int col, double t, double value);
-  /// Record into an hdr column with a trace exemplar (first-per-window by
-  /// smallest sample index). Other column kinds ignore the exemplar.
-  void record(int col, double t, double value, std::uint64_t trace_id,
-              std::int64_t sample_index);
+  /// must not wrap a window delta negative. Hdr columns keep no exemplars:
+  /// their export is n/p50/p95/p99/p999/max.
+  void record(int col, double t, double value) {
+    if (t >= open_lo_ && t < open_hi_ &&
+        static_cast<std::size_t>(col) < columns_.size()) {
+      Column& c = columns_[static_cast<std::size_t>(col)];
+      switch (c.kind) {
+        case Kind::kCounter:
+          if (!(value >= 0.0)) break;
+          c.sum += value;
+          open_window_active_ = true;
+          return;
+        case Kind::kGauge:
+          c.last = value;
+          c.has_last = true;
+          open_window_active_ = true;
+          return;
+        case Kind::kHdr:
+          c.hdr->record(value);
+          open_window_active_ = true;
+          return;
+        case Kind::kRatio:
+        case Kind::kRate:
+          break;
+      }
+    }
+    record_slow(col, t, value);
+  }
 
   double width() const { return width_; }
   const std::string& axis() const { return axis_; }
@@ -106,7 +142,7 @@ class WindowedSeries {
     double sum = 0.0;       // counter
     double last = 0.0;      // gauge (carried across windows)
     bool has_last = false;  // gauge ever set
-    std::unique_ptr<HdrHistogram> hdr;  // hdr, reset at each window flush
+    std::unique_ptr<HdrHistogram::Local> hdr;  // reset at each window flush
     // Flushed per-window aggregates, parallel to rows_ windows. Counters
     // store the window delta, gauges the carried last value, hdr columns
     // their cells.
@@ -115,7 +151,9 @@ class WindowedSeries {
   };
 
   int add_column(const std::string& name, Kind kind);
-  static HdrCells hdr_cells(const HdrHistogram& h);
+  static HdrCells hdr_cells(const HdrHistogram::Local& h);
+  /// Every check, the window flush and the open-range update.
+  void record_slow(int col, double t, double value);
   void flush_window();  // close the current window and advance
   /// Cells of window w for column c, in export order.
   void append_cells(std::vector<double>& out, const Column& c,
@@ -125,6 +163,10 @@ class WindowedSeries {
   std::string axis_;
   std::vector<Column> columns_;
   std::int64_t cur_window_ = 0;
+  /// Clock range [open_lo_, open_hi_) of window cur_window_; empty until
+  /// the first record, so that record takes the slow path and seals.
+  double open_lo_ = 0.0;
+  double open_hi_ = 0.0;
   std::int64_t flushed_windows_ = 0;
   bool open_window_active_ = false;  // anything recorded since last flush
   bool sealed_registration_ = false;

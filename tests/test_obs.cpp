@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -26,6 +28,7 @@
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/slo.hpp"
+#include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 #include "tensor/tensor_ops.hpp"
 #include "util/error.hpp"
@@ -737,6 +740,106 @@ TEST(HdrHistogram, ReadsFromSeveralLiveShardsMatchBruteForce) {
   EXPECT_EQ(h.max(), 0.0);
 }
 
+TEST(HdrHistogram, LocalAccumulatorMergesLikeDirectRecording) {
+  // The same samples two ways: recorded straight into a sharded histogram,
+  // and through single-writer accumulators folded in with merge(). The mix
+  // covers negative values (bucket 0, raw min), values past max_value
+  // (overflow, exact max), the one-unit buckets under 256 units and
+  // repeated sample indices (the first recording of an index keeps its
+  // trace id).
+  constexpr double kUnit = 1.0, kMax = 5000.0;
+  struct Sample {
+    double v;
+    std::int64_t index;
+    std::uint64_t trace;
+  };
+  Rng rng(77);
+  std::array<std::vector<Sample>, 2> halves;
+  for (std::int64_t i = 0; i < 6000; ++i) {
+    const double r = rng.uniform();
+    const double v = r < 0.05   ? -rng.uniform(0.0, 50.0)
+                     : r < 0.45 ? std::floor(rng.uniform(0.0, 256.0))
+                     : r < 0.97 ? rng.uniform(0.0, kMax)
+                                : rng.uniform(kMax, 3.0 * kMax);
+    // Every fifth sample repeats the index of the sample two before it,
+    // which sits in the same half; every seventh takes no exemplar.
+    const std::int64_t index = i % 5 == 4 ? i - 2 : (i % 7 == 6 ? -1 : i);
+    halves[static_cast<std::size_t>(i % 2)].push_back(
+        {v, index, static_cast<std::uint64_t>(900000 + i)});
+  }
+
+  HdrHistogram direct(kUnit, kMax);
+  for (const auto& half : halves) {
+    for (const Sample& x : half) direct.record(x.v, x.trace, x.index);
+  }
+  // Two accumulators, each filled and merged from its own thread.
+  HdrHistogram merged(kUnit, kMax);
+  std::vector<std::thread> writers;
+  for (const auto& half : halves) {
+    writers.emplace_back([&merged, &half] {
+      HdrHistogram::Local local(kUnit, kMax);
+      for (const Sample& x : half) local.record(x.v, x.trace, x.index);
+      merged.merge(local);
+    });
+  }
+  for (auto& w : writers) w.join();
+  // One accumulator read in place, and merged from this thread.
+  HdrHistogram::Local local(kUnit, kMax);
+  for (const auto& half : halves) {
+    for (const Sample& x : half) local.record(x.v, x.trace, x.index);
+  }
+  HdrHistogram single(kUnit, kMax);
+  single.merge(local);
+  single.merge(HdrHistogram::Local(kUnit, kMax));  // empty: a no-op
+
+  ASSERT_GT(direct.overflow(), 0);
+  ASSERT_LT(direct.min(), 0.0);
+  const HdrHistogram::View want = direct.view();
+  const auto expect_same = [&](const HdrHistogram::View& got,
+                               std::int64_t count, std::int64_t overflow,
+                               double mn, double mx, const char* path) {
+    EXPECT_EQ(count, direct.count()) << path;
+    EXPECT_EQ(overflow, direct.overflow()) << path;
+    EXPECT_EQ(mn, direct.min()) << path;
+    EXPECT_EQ(mx, direct.max()) << path;
+    for (int r = 1; r <= 1000; ++r) {
+      const double q = r / 1000.0;
+      EXPECT_EQ(got.percentile(q), want.percentile(q)) << path << " q=" << q;
+      const HdrExemplar a = got.exemplar_at(q), b = want.exemplar_at(q);
+      EXPECT_EQ(a.sample, b.sample) << path << " q=" << q;
+      EXPECT_EQ(a.trace_id, b.trace_id) << path << " q=" << q;
+    }
+    EXPECT_EQ(got.max_exemplar().sample, want.max_exemplar().sample) << path;
+    EXPECT_EQ(got.max_exemplar().trace_id, want.max_exemplar().trace_id)
+        << path;
+  };
+  expect_same(merged.view(), merged.count(), merged.overflow(), merged.min(),
+              merged.max(), "two threads");
+  expect_same(single.view(), single.count(), single.overflow(), single.min(),
+              single.max(), "one merge");
+  expect_same(local.view(), local.count(), local.overflow(), local.min(),
+              local.max(), "in place");
+  // A tied index keeps the first recording's trace id on either path.
+  HdrHistogram tie_direct(kUnit, kMax);
+  HdrHistogram::Local tie_local(kUnit, kMax);
+  for (const std::uint64_t trace : {111u, 222u}) {
+    tie_direct.record(42.0, trace, 3);
+    tie_local.record(42.0, trace, 3);
+  }
+  HdrHistogram tie_merged(kUnit, kMax);
+  tie_merged.merge(tie_local);
+  EXPECT_EQ(tie_direct.exemplar_at(1.0).trace_id, 111u);
+  EXPECT_EQ(tie_local.view().exemplar_at(1.0).trace_id, 111u);
+  EXPECT_EQ(tie_merged.exemplar_at(1.0).trace_id, 111u);
+
+  local.reset();
+  EXPECT_EQ(local.count(), 0);
+  EXPECT_EQ(local.max(), 0.0);
+  EXPECT_EQ(local.view().percentile(0.5), 0.0);
+  EXPECT_FALSE(local.view().max_exemplar().valid());
+  EXPECT_THROW(merged.merge(HdrHistogram::Local(1e-3, kMax)), Error);
+}
+
 TEST(MetricsRegistry, HdrJsonCarriesExemplarsAndIsByteStable) {
   MetricsRegistry reg;
   HdrHistogram& h = reg.hdr_histogram("runtime.hdr_latency_ms", 1e-3, 3.6e6);
@@ -749,6 +852,100 @@ TEST(MetricsRegistry, HdrJsonCarriesExemplarsAndIsByteStable) {
   EXPECT_NE(json.find("\"max_sample\""), std::string::npos);
   EXPECT_NE(json.find("\"rel_err\""), std::string::npos);
   EXPECT_EQ(json, reg.to_json());  // frozen registry: byte-identical polls
+}
+
+// ------------------------------------------------ open-window clock range
+
+// WindowedSeries and SloEngine record inline while a clock stays in the
+// open window's cached range. These pin that range to the division the
+// slow path keys on, at every rounding edge the probes reach.
+
+/// The window (or SLO bucket) clock `t` names at width `width`.
+std::int64_t window_of(double t, double width) {
+  return static_cast<std::int64_t>(t / width);
+}
+
+/// k * width and one ulp either side, ascending, for k up to 1e6.
+std::vector<double> boundary_clocks(double width) {
+  std::vector<double> out;
+  for (const std::int64_t k : {0, 1, 2, 3, 7, 10, 12, 100, 333, 1000, 4096,
+                               99999, 1000000}) {
+    const double at = static_cast<double>(k) * width;
+    if (at > 0.0) out.push_back(std::nextafter(at, 0.0));
+    out.push_back(at);
+    out.push_back(
+        std::nextafter(at, std::numeric_limits<double>::infinity()));
+  }
+  return out;
+}
+
+constexpr std::array<double, 5> kBoundaryWidths{1e-3, 0.1, 1.0 / 3.0, 0.5,
+                                                5.0};
+
+TEST(WindowedSeries, EveryRecordLandsInTheWindowItsClockNames) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double width : kBoundaryWidths) {
+    WindowedSeries s(width);
+    const int c = s.add_counter("c");
+    for (const double t : boundary_clocks(width)) {
+      const std::int64_t w = window_of(t, width);
+      ASSERT_LE(window_start(width, w), t) << width << " t=" << t;
+      ASSERT_LT(t, window_start(width, w + 1)) << width << " t=" << t;
+      s.record(c, t, 1.0);
+      // Records land in the open window, so it must be the one t names.
+      EXPECT_EQ(s.window_count(), static_cast<std::size_t>(w + 1))
+          << width << " t=" << t;
+      // The last clock of the window before is out of range: backwards.
+      if (w > 0) {
+        const double before = std::nextafter(window_start(width, w), 0.0);
+        ASSERT_EQ(window_of(before, width), w - 1) << width << " t=" << t;
+        EXPECT_THROW(s.record(c, before, 1.0), Error) << width << " t=" << t;
+      }
+      EXPECT_THROW(s.record(c, nan, 1.0), Error);
+      EXPECT_THROW(s.record(c, t, -1.0), Error);  // negative counter delta
+      EXPECT_EQ(s.window_count(), static_cast<std::size_t>(w + 1));
+    }
+  }
+}
+
+TEST(SloEngine, EveryRecordLandsInTheBucketItsClockNames) {
+  for (const double width : kBoundaryWidths) {
+    const double fast = 12.0 * width;
+    const double bucket = fast / 12.0;  // the engine's bucket width
+    // Buckets the fast window spans, as the engine counts them.
+    const auto span = static_cast<std::int64_t>(std::ceil(fast / bucket));
+    const std::vector<double> clocks = boundary_clocks(bucket);
+    for (std::size_t i = 0; i < clocks.size(); ++i) {
+      const double t = clocks[i];
+      const std::int64_t b = window_of(t, bucket);
+      SloEngine slo;
+      const int id = slo.add_objective({.name = "x",
+                                        .tier = "x",
+                                        .target = 0.5,
+                                        .fast_window = fast,
+                                        .slow_window = fast});
+      // Open the previous probe's bucket, then record one bad event at t.
+      if (i > 0) slo.record(id, clocks[i - 1], true);
+      slo.record(id, t, false);
+      // The fast window ending in bucket b + span - 1 still holds bucket b
+      // (so the event is not below it) ...
+      slo.record(id, (static_cast<double>(b + span) - 0.5) * bucket, true);
+      EXPECT_GT(slo.evaluate()[0].fast_burn, 0.0) << width << " t=" << t;
+      // ... and the one ending in bucket b + span no longer does (so it is
+      // not above it).
+      slo.record(id, (static_cast<double>(b + span) + 0.5) * bucket, true);
+      EXPECT_EQ(slo.evaluate()[0].fast_burn, 0.0) << width << " t=" << t;
+    }
+  }
+  SloEngine slo;
+  const int id = slo.add_objective({.name = "x", .tier = "x"});
+  slo.record(id, 10.5, true);
+  EXPECT_THROW(slo.record(id, 10.2, true), Error);  // same bucket, earlier
+  EXPECT_THROW(slo.record(id, std::numeric_limits<double>::quiet_NaN(), true),
+               Error);
+  EXPECT_THROW(slo.record(id, -1.0, true), Error);
+  EXPECT_THROW(slo.record(id + 1, 10.5, true), Error);  // unknown objective
+  EXPECT_EQ(slo.evaluate()[0].good, 1);
 }
 
 // -------------------------------------------------------------- SLO engine

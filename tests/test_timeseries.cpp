@@ -146,9 +146,9 @@ TEST(WindowedSeries, CounterResetMidSeriesIsRejectedNotWrapped) {
 TEST(WindowedSeries, HdrColumnExportsTailColumnsPerWindow) {
   WindowedSeries s(1.0);
   const int lat = s.add_hdr("lat_ms", 1e-3, 3.6e6);
-  // Window 0: 100 samples at 2 ms, one 50 ms straggler (with an exemplar).
+  // Window 0: 100 samples at 2 ms, one 50 ms straggler.
   for (int i = 0; i < 100; ++i) s.record(lat, 0.5, 2.0);
-  s.record(lat, 0.9, 50.0, /*trace_id=*/777, /*sample_index=*/100);
+  s.record(lat, 0.9, 50.0);
   // Window 1: empty. Window 2: one sample.
   s.record(lat, 2.5, 4.0);
   const std::string csv = s.to_csv();
@@ -182,7 +182,7 @@ TEST(WindowedSeries, FlushedHdrRowEqualsDirectReadsBeforeTheFlush) {
     for (int i = 0; i < 400; ++i) {
       const double straggler = i % 97 == 0 ? 80.0 * (w + 1) : 0.0;
       const double v = 0.25 + 0.37 * ((i * (w + 3)) % 101) + straggler;
-      s.record(lat, w + 0.001 * i, v, 100 + i, w * 1000 + i);
+      s.record(lat, w + 0.001 * i, v);
       mirror.record(v);
     }
     want.push_back({static_cast<double>(mirror.count()),
