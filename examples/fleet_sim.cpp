@@ -158,57 +158,7 @@ int main() {
     record.add_info("devices", std::to_string(fleet.num_devices));
     record.add_info("edges", std::to_string(fleet.num_edges));
     record.add_info("series", series_path);
-    record.add_metric("fleet.arrivals",
-                      static_cast<double>(nearest_stats.arrivals));
-    record.add_metric("fleet.completed",
-                      static_cast<double>(nearest_stats.completed));
-    record.add_metric("fleet.local", static_cast<double>(nearest_stats.local));
-    record.add_metric("fleet.escalated",
-                      static_cast<double>(nearest_stats.escalated));
-    record.add_metric("fleet.shed", static_cast<double>(nearest_stats.shed));
-    record.add_metric("fleet.dead", static_cast<double>(nearest_stats.dead));
-    record.add_metric("fleet.throughput_hz", nearest_stats.throughput_hz);
-    record.add_metric("fleet.mean_latency_ms",
-                      1e3 * nearest_stats.mean_latency_s);
-    record.add_metric("fleet.p50_latency_ms",
-                      1e3 * nearest_stats.p50_latency_s);
-    record.add_metric("fleet.p95_latency_ms",
-                      1e3 * nearest_stats.p95_latency_s);
-    record.add_metric("fleet.max_latency_ms",
-                      1e3 * nearest_stats.max_latency_s);
-    record.add_metric("fleet.p99_latency_ms",
-                      1e3 * nearest_stats.p99_latency_s);
-    record.add_metric("fleet.p999_latency_ms",
-                      1e3 * nearest_stats.p999_latency_s);
-    // Exemplar sample indices: deterministic, so the baseline pins them —
-    // a drifting exemplar means the tail itself moved.
-    record.add_metric("fleet.p99_sample",
-                      static_cast<double>(nearest_stats.p99_exemplar.sample));
-    record.add_metric("fleet.p999_sample",
-                      static_cast<double>(nearest_stats.p999_exemplar.sample));
-    record.add_metric("fleet.edge_util_mean",
-                      nearest_stats.mean_edge_utilization());
-    record.add_metric("fleet.cloud_util", nearest_stats.cloud.utilization);
-    for (const auto& status : slo.evaluate()) {
-      // fleet.latency -> fleet.slo.latency.*
-      const std::string base = "fleet.slo." + status.name.substr(6);
-      record.add_metric(base + ".ratio", status.ratio);
-      record.add_metric(base + ".fast_burn", status.fast_burn);
-      record.add_metric(base + ".slow_burn", status.slow_burn);
-      record.add_metric(base + ".state",
-                        static_cast<double>(static_cast<int>(status.state)));
-    }
-    for (std::size_t g = 0; g < nearest_stats.edges.size(); ++g) {
-      const std::string base = "fleet.station.edge" + std::to_string(g);
-      record.add_metric(base + ".served",
-                        static_cast<double>(nearest_stats.edges[g].served));
-      record.add_metric(base + ".utilization",
-                        nearest_stats.edges[g].utilization);
-    }
-    record.add_metric("fleet.station.cloud.served",
-                      static_cast<double>(nearest_stats.cloud.served));
-    record.add_metric("fleet.station.cloud.utilization",
-                      nearest_stats.cloud.utilization);
+    dist::add_ledger_metrics(record, nearest_stats, &slo);
     obs::append_record(record);
 
     // Full registry snapshot (HDR buckets, exemplar trace ids, per-station

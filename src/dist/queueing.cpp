@@ -172,6 +172,55 @@ Table FleetStats::station_table() const {
   return table;
 }
 
+void add_ledger_metrics(obs::LedgerRecord& rec, const FleetStats& stats,
+                        const obs::SloEngine* slo) {
+  const auto count = [&](const std::string& name, std::int64_t n) {
+    rec.add_metric("fleet." + name, static_cast<double>(n));
+  };
+  const auto ms = [&](const std::string& name, double seconds) {
+    rec.add_metric("fleet." + name + "_latency_ms", 1e3 * seconds);
+  };
+  count("arrivals", stats.arrivals);
+  count("completed", stats.completed);
+  count("local", stats.local);
+  count("escalated", stats.escalated);
+  count("shed", stats.shed);
+  count("dead", stats.dead);
+  rec.add_metric("fleet.throughput_hz", stats.throughput_hz);
+  ms("mean", stats.mean_latency_s);
+  ms("p50", stats.p50_latency_s);
+  ms("p95", stats.p95_latency_s);
+  ms("max", stats.max_latency_s);
+  ms("p99", stats.p99_latency_s);
+  ms("p999", stats.p999_latency_s);
+  // Exemplar arrival indices are deterministic, so a baseline can pin them:
+  // a drifting exemplar means the tail itself moved.
+  count("p99_sample", stats.p99_exemplar.sample);
+  count("p999_sample", stats.p999_exemplar.sample);
+  rec.add_metric("fleet.edge_util_mean", stats.mean_edge_utilization());
+  rec.add_metric("fleet.cloud_util", stats.cloud.utilization);
+  if (slo != nullptr) {
+    for (const auto& status : slo->evaluate()) {
+      // fleet.latency -> fleet.slo.latency.*
+      const std::string base = "fleet.slo." + status.name.substr(6);
+      rec.add_metric(base + ".ratio", status.ratio);
+      rec.add_metric(base + ".fast_burn", status.fast_burn);
+      rec.add_metric(base + ".slow_burn", status.slow_burn);
+      rec.add_metric(base + ".state",
+                     static_cast<double>(static_cast<int>(status.state)));
+    }
+  }
+  const auto station = [&](const std::string& name, const StationStats& s) {
+    const std::string base = "fleet.station." + name;
+    rec.add_metric(base + ".served", static_cast<double>(s.served));
+    rec.add_metric(base + ".utilization", s.utilization);
+  };
+  for (std::size_t g = 0; g < stats.edges.size(); ++g) {
+    station("edge" + std::to_string(g), stats.edges[g]);
+  }
+  station("cloud", stats.cloud);
+}
+
 namespace {
 
 /// One sample in flight through the network.

@@ -162,6 +162,16 @@ struct FleetStats {
   Table station_table() const;
 };
 
+/// The ledger encoding of a FleetStats, appended to `rec` in a fixed order:
+/// fleet.arrivals, .completed, .local, .escalated, .shed, .dead,
+/// .throughput_hz, the .{mean,p50,p95,max,p99,p999}_latency_ms, the
+/// .p99_sample and .p999_sample exemplar arrival indices, .edge_util_mean,
+/// .cloud_util; with `slo`, fleet.slo.<objective>.{ratio,fast_burn,
+/// slow_burn,state} per objective; then fleet.station.<edgeN|cloud>.
+/// {served,utilization}.
+void add_ledger_metrics(obs::LedgerRecord& rec, const FleetStats& stats,
+                        const obs::SloEngine* slo = nullptr);
+
 /// The single-queue topology: one device, one edge that adds nothing
 /// (edge_service_s = 0, edge_cloud_latency_s = 0, max_batch = 1), one
 /// cloud server serving every trace past exit 0 in `cloud_service_s`, and

@@ -203,6 +203,28 @@ constexpr double kSampleBytesMax = 1048576.0;
 
 }  // namespace
 
+void add_ledger_metrics(obs::LedgerRecord& rec, const RuntimeMetrics& metrics,
+                        const std::vector<std::string>& exit_names) {
+  DDNN_CHECK(exit_names.size() == metrics.exit_counts.size(),
+             "one exit name per exit count");
+  const auto count = [&](const std::string& name, std::int64_t n) {
+    rec.add_metric("runtime." + name, static_cast<double>(n));
+  };
+  count("samples", metrics.samples);
+  rec.add_metric("runtime.accuracy", metrics.accuracy());
+  count("bytes_total", metrics.total_bytes);
+  rec.add_metric("runtime.mean_latency_ms", 1e3 * metrics.mean_latency_s());
+  for (std::size_t e = 0; e < exit_names.size(); ++e) {
+    count("exit." + exit_names[e], metrics.exit_counts[e]);
+  }
+  const auto& rel = metrics.reliability;
+  count("drops", rel.drops);
+  count("retries", rel.retries);
+  count("timeouts", rel.timeouts);
+  count("degraded", rel.degraded_exits);
+  count("dead", rel.dead_samples);
+}
+
 RunBook::RunBook(std::vector<std::string> exit_names,
                  std::size_t num_devices, std::vector<const Link*> links)
     : exit_names_(std::move(exit_names)), links_(std::move(links)) {

@@ -49,6 +49,7 @@
 #include "dist/link.hpp"
 #include "dist/node.hpp"
 #include "dist/transport.hpp"
+#include "obs/ledger.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
@@ -168,6 +169,13 @@ struct RuntimeMetrics {
                      static_cast<double>(samples);
   }
 };
+
+/// The ledger encoding of a run's RuntimeMetrics, appended to `rec` in a
+/// fixed order: runtime.samples, .accuracy, .bytes_total, .mean_latency_ms,
+/// .exit.<name> per exit, .drops, .retries, .timeouts, .degraded, .dead.
+/// Every count carries the name RunBook books it under in a bound registry.
+void add_ledger_metrics(obs::LedgerRecord& rec, const RuntimeMetrics& metrics,
+                        const std::vector<std::string>& exit_names);
 
 /// The one writer of a HierarchyRuntime's accounting, in the simulator and
 /// the served driver alike. It owns the run's RuntimeMetrics window and,

@@ -569,7 +569,6 @@ DriveResult drive_hierarchy(core::DdnnModel& model,
   // The devices and the gateway run here; the edge and the cloud are remote
   // tiers over one socket each.
   SocketTransport transport(opts.reliability);
-  transport.set_fail_fast(opts.fail_fast);
   SocketTier edge(transport, "edge-ctl", opts.decision_timeout_s);
   SocketTier cloud(transport, "cloud-ctl", opts.decision_timeout_s);
   HierarchyRuntime runtime(model, opts.thresholds, device_map, {},

@@ -57,9 +57,6 @@ struct ServeOptions {
 
   /// Driver: classify only the first N test samples (-1 = all).
   std::int64_t max_samples = -1;
-  /// Driver: after a channel's first undelivered send, fail its later sends
-  /// immediately instead of waiting out the timeout ladder every sample.
-  bool fail_fast = true;
   /// Servers: accept frames and never respond — the forced-timeout
   /// degradation hook the e2e test points at the edge tier.
   bool blackhole = false;

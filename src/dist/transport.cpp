@@ -17,6 +17,7 @@
 #include <thread>
 
 #include "obs/profile.hpp"
+#include "util/args.hpp"
 #include "util/error.hpp"
 
 namespace ddnn::dist {
@@ -516,6 +517,8 @@ std::vector<Frame> FrameConn::poll_frames() {
 // --------------------------------------------------------------- Listener
 
 Listener::Listener(int port) {
+  DDNN_CHECK(port >= 0 && port <= 65535,
+             "listen port " << port << " is outside 0-65535");
   fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   DDNN_CHECK(fd_ >= 0, "socket(): " << std::strerror(errno));
   int one = 1;
@@ -561,10 +564,12 @@ std::shared_ptr<FrameConn> connect_to(const std::string& host_port,
   DDNN_CHECK(colon != std::string::npos,
              "address must be host:port, got '" << host_port << "'");
   const std::string host = host_port.substr(0, colon);
-  const int port = std::stoi(host_port.substr(colon + 1));
+  const auto port = parse_int(host_port.substr(colon + 1));
+  DDNN_CHECK(port.has_value() && *port >= 1 && *port <= 65535,
+             "address '" << host_port << "' needs a port in 1-65535");
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  addr.sin_port = htons(static_cast<std::uint16_t>(*port));
   DDNN_CHECK(::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) == 1,
              "bad IPv4 address '" << host << "'");
 
@@ -712,7 +717,7 @@ void SocketTransport::send_batch(const std::vector<BatchItem>& items,
     const BatchItem& item = items[i];
     Channel* ch = find(item.link->name());
     const bool usable = ch != nullptr && ch->conn != nullptr &&
-                        !ch->conn->closed() && !(fail_fast_ && ch->down);
+                        !ch->conn->closed() && !ch->down;
     if (!usable) {
       item.link->record_drop(*item.msg);
       results[i] = SendResult{false, 1, 1, 0.0};
@@ -776,7 +781,7 @@ void SocketTransport::send_batch(const std::vector<BatchItem>& items,
 bool SocketTransport::post(const std::string& channel, const Frame& frame) {
   Channel* ch = find(channel);
   if (ch == nullptr || ch->conn == nullptr || ch->conn->closed() ||
-      (fail_fast_ && ch->down)) {
+      ch->down) {
     return false;
   }
   Frame out = frame;

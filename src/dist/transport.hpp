@@ -322,7 +322,10 @@ class Listener {
   int port_ = 0;
 };
 
-/// Connect to "host:port" within `timeout_s`; nullptr on failure.
+/// Connect to "host:port" within `timeout_s`; nullptr when nothing answers.
+/// Throws ddnn::Error, naming the address, when it does not parse: no
+/// colon, a port that is not a whole number in 1-65535, or a host that is
+/// not an IPv4 address.
 std::shared_ptr<FrameConn> connect_to(const std::string& host_port,
                                       double timeout_s);
 
@@ -335,10 +338,9 @@ class SocketTransport : public Transport {
 
   void attach(const std::string& channel, std::shared_ptr<FrameConn> conn);
 
-  /// Fail sends on a channel immediately after its first undelivered send
-  /// (circuit breaker), instead of waiting out the timeout ladder every
-  /// sample. Off by default.
-  void set_fail_fast(bool on) { fail_fast_ = on; }
+  /// Circuit breaker: a channel whose send went undelivered is down, and
+  /// every later send or post on it fails at once instead of waiting out
+  /// the timeout ladder again.
   bool channel_down(const std::string& channel) const;
   /// channel_down() for `channel` or any channel sharing its connection:
   /// whether the peer behind it has stopped answering.
@@ -395,7 +397,6 @@ class SocketTransport : public Transport {
   void mark_down(Channel& ch);
 
   ReliabilityConfig config_;
-  bool fail_fast_ = false;
   std::uint64_t next_seq_ = 1;
   std::map<std::string, Channel> channels_;
   std::map<const FrameConn*, std::deque<Frame>> inbox_;

@@ -1,6 +1,8 @@
 #include "util/args.hpp"
 
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -74,11 +76,10 @@ const std::string& ArgParser::get(const std::string& name) const {
 
 std::int64_t ArgParser::get_int(const std::string& name) const {
   const std::string& v = get(name);
-  char* end = nullptr;
-  const long long parsed = std::strtoll(v.c_str(), &end, 10);
-  DDNN_CHECK(end != v.c_str() && *end == '\0',
+  const auto parsed = parse_int(v);
+  DDNN_CHECK(parsed.has_value(),
              "--" << name << " expects an integer, got '" << v << "'");
-  return parsed;
+  return *parsed;
 }
 
 double ArgParser::get_double(const std::string& name) const {
@@ -140,17 +141,26 @@ const ArgParser::Spec* ArgParser::find(const std::string& name) const {
   return nullptr;
 }
 
+std::optional<std::int64_t> parse_int(const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  const long long parsed = std::strtoll(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0' || errno == ERANGE) {
+    return std::nullopt;
+  }
+  return parsed;
+}
+
 std::vector<int> parse_int_list(const std::string& csv) {
   std::vector<int> out;
   std::string token;
   std::istringstream is(csv);
   while (std::getline(is, token, ',')) {
     if (token.empty()) continue;
-    char* end = nullptr;
-    const long parsed = std::strtol(token.c_str(), &end, 10);
-    DDNN_CHECK(end != token.c_str() && *end == '\0',
+    const auto parsed = parse_int(token);
+    DDNN_CHECK(parsed.has_value(),
                "bad integer '" << token << "' in list '" << csv << "'");
-    out.push_back(static_cast<int>(parsed));
+    out.push_back(static_cast<int>(*parsed));
   }
   return out;
 }

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -60,6 +61,10 @@ class ArgParser {
   std::vector<Spec> specs_;
   std::vector<std::string> positionals_;
 };
+
+/// `text` as a whole base-10 integer; nullopt when it is empty, carries
+/// anything after the digits or does not fit 64 bits.
+std::optional<std::int64_t> parse_int(const std::string& text);
 
 /// Split "2,5,0" into integers (empty string -> empty vector).
 std::vector<int> parse_int_list(const std::string& csv);

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cstdlib>
 
+#include "util/args.hpp"
 #include "util/error.hpp"
 
 namespace ddnn {
@@ -31,11 +32,10 @@ std::string env_string(const std::string& name, const std::string& fallback) {
 std::int64_t env_int(const std::string& name, std::int64_t fallback) {
   const char* v = raw_env(name);
   if (v == nullptr) return fallback;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(v, &end, 10);
-  DDNN_CHECK(end != v && *end == '\0',
+  const auto parsed = parse_int(v);
+  DDNN_CHECK(parsed.has_value(),
              "env var " << name << " is not an integer: '" << v << "'");
-  return parsed;
+  return *parsed;
 }
 
 double env_double(const std::string& name, double fallback) {

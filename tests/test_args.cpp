@@ -138,5 +138,18 @@ TEST(ParseIntList, SplitsAndValidates) {
   EXPECT_THROW(parse_int_list("1,x"), Error);
 }
 
+TEST(ParseInt, WholeStringInt64OrNothing) {
+  EXPECT_EQ(parse_int("42"), 42);
+  EXPECT_EQ(parse_int("-7"), -7);
+  EXPECT_EQ(parse_int("9223372036854775807"), INT64_MAX);
+  EXPECT_EQ(parse_int(""), std::nullopt);
+  EXPECT_EQ(parse_int("abc"), std::nullopt);
+  EXPECT_EQ(parse_int("5x"), std::nullopt);
+  EXPECT_EQ(parse_int("1.5"), std::nullopt);
+  // Past 64 bits is an error, not a clamp to INT64_MAX.
+  EXPECT_EQ(parse_int("9223372036854775808"), std::nullopt);
+  EXPECT_EQ(parse_int("-99999999999999999999"), std::nullopt);
+}
+
 }  // namespace
 }  // namespace ddnn

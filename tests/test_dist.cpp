@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <map>
 #include <sstream>
 
@@ -13,6 +14,8 @@
 #include "dist/message.hpp"
 #include "dist/queueing.hpp"
 #include "dist/runtime.hpp"
+#include "obs/json.hpp"
+#include "obs/ledger.hpp"
 #include "tensor/tensor_ops.hpp"
 #include "util/error.hpp"
 #include "util/stats.hpp"
@@ -472,6 +475,54 @@ TEST_F(RuntimeFixture, MetricsExportHoldsOnlyCountersGaugesAndHdr) {
     }
   }
   EXPECT_EQ(hdr, 2);
+}
+
+TEST_F(RuntimeFixture, LedgerEncodingAgreesWithTheRegistry) {
+  // The run ledger and a bound registry read one RunBook: after a faulted
+  // run every runtime.* count the ledger encoding writes equals the
+  // registry counter of the same name, and the two derived values equal
+  // the RuntimeMetrics they come from.
+  core::DdnnModel model(
+      core::DdnnConfig::preset(core::HierarchyPreset::kDevicesEdgeCloud));
+  model.set_training(false);
+  // Threshold 0 escalates every sample, so the outage window degrades.
+  HierarchyRuntime runtime(model, {0.0, 0.0}, devices);
+  FaultPlan plan;
+  plan.seed = 5;
+  plan.link_drop_prob = 0.3;
+  plan.devices.push_back({.permanent_fail_at = 0});
+  plan.edge_outages.push_back({.group = -1, .start_sample = 4,
+                               .end_sample = 12});
+  runtime.set_fault_plan(plan);
+  obs::MetricsRegistry registry;
+  runtime.bind_metrics(&registry);
+  for (const auto& s : dataset->test()) runtime.classify(s);
+
+  const RuntimeMetrics& m = runtime.metrics();
+  ASSERT_GT(m.reliability.drops, 0);
+  ASSERT_GT(m.reliability.retries, 0);
+  ASSERT_GT(m.reliability.degraded_exits, 0);
+  obs::LedgerRecord rec;
+  add_ledger_metrics(rec, m, model.exit_names());
+  const auto names = registry.names();
+  std::size_t counters = 0;
+  for (const auto& [key, value] : rec.metrics) {
+    if (key == "runtime.accuracy") {
+      EXPECT_EQ(value, m.accuracy());
+    } else if (key == "runtime.mean_latency_ms") {
+      EXPECT_EQ(value, 1e3 * m.mean_latency_s());
+    } else {
+      ASSERT_NE(std::find(names.begin(), names.end(), key), names.end())
+          << key << " is not in the registry";
+      EXPECT_EQ(value, static_cast<double>(registry.counter(key).value()))
+          << key;
+      ++counters;
+    }
+  }
+  // samples, bytes_total, one per exit, drops, retries, timeouts,
+  // degraded, dead.
+  EXPECT_EQ(counters, 7 + model.exit_names().size());
+  EXPECT_EQ(rec.metrics.size(), counters + 2);
 }
 
 TEST_F(RuntimeFixture, LatencyGrowsWhenSamplesEscalate) {
@@ -1044,6 +1095,52 @@ TEST(FleetQueueing, TraceDrivenArrivalsReplayFixedGaps) {
   // Last arrival at 1.0 s, completing 2 ms later.
   EXPECT_NEAR(stats.horizon_s, 1.002, 1e-9);
   EXPECT_DOUBLE_EQ(stats.mean_latency_s, 2e-3);
+}
+
+TEST(FleetQueueing, LedgerEncodingWritesTheGatedKeys) {
+  // At the 4-edge topology of examples/fleet_sim, the fleet encoding with
+  // an SLO engine writes exactly the keys bench/baselines/fleet_sim.json
+  // gates; without one it writes the same keys but fleet.slo.*.
+  const std::vector<InferenceTrace> traces{trace_of(0, 2e-3),
+                                           trace_of(1, 8e-3),
+                                           trace_of(2, 12e-3),
+                                           trace_of(-1, 0.0)};
+  FleetConfig cfg;
+  cfg.num_devices = 120;
+  cfg.num_edges = 4;
+  cfg.cloud_servers = 10;
+  cfg.arrival_rate_hz = 2000.0;
+  cfg.first_cloud_exit = 2;
+  obs::SloEngine slo;
+  const auto stats = simulate_fleet(traces, cfg, 2000, nullptr, nullptr, &slo);
+
+  const auto keys = [&](const obs::SloEngine* engine) {
+    obs::LedgerRecord rec;
+    add_ledger_metrics(rec, stats, engine);
+    std::vector<std::string> out;
+    for (const auto& [key, value] : rec.metrics) out.push_back(key);
+    std::sort(out.begin(), out.end());
+    EXPECT_EQ(std::adjacent_find(out.begin(), out.end()), out.end());
+    return out;
+  };
+  std::ifstream in(DDNN_SOURCE_DIR "/bench/baselines/fleet_sim.json");
+  ASSERT_TRUE(in.good());
+  std::stringstream text;
+  text << in.rdbuf();
+  const obs::JsonValue baseline = obs::parse_json(text.str());
+  std::vector<std::string> gated;
+  for (const auto& [key, bound] : baseline.at("metrics").members) {
+    gated.push_back(key);
+  }
+  std::sort(gated.begin(), gated.end());
+  EXPECT_EQ(keys(&slo), gated);
+
+  std::vector<std::string> without_slo;
+  for (const auto& key : gated) {
+    if (key.rfind("fleet.slo.", 0) != 0) without_slo.push_back(key);
+  }
+  EXPECT_LT(without_slo.size(), gated.size());
+  EXPECT_EQ(keys(nullptr), without_slo);
 }
 
 TEST(FleetQueueing, ParsesAndPrintsPolicies) {

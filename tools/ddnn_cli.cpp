@@ -99,37 +99,6 @@ std::vector<int> device_map_from(const core::DdnnConfig& cfg) {
   return devices;
 }
 
-void add_engine_option(ArgParser& args) {
-  args.add_option("engine",
-                  "inference engine: autograd|plan (default: $DDNN_ENGINE, "
-                  "else plan)",
-                  "");
-}
-
-/// Apply --engine (when given) and return the engine that will run.
-std::string select_engine(const ArgParser& args) {
-  const std::string flag = args.get("engine");
-  if (!flag.empty()) {
-    infer::set_engine_kind(infer::parse_engine_kind(flag));
-  }
-  return infer::to_string(infer::engine_kind());
-}
-
-void add_mem_budget_option(ArgParser& args) {
-  args.add_option("mem-budget",
-                  "hard cap on any section's planned activation arena in "
-                  "bytes (0 = unlimited); over-budget sections are "
-                  "batch-sliced to fit",
-                  "0");
-}
-
-/// Apply --mem-budget (validated: >= 0) and clear the per-tier peak stats so
-/// this run reports only its own planned peaks.
-void apply_mem_budget(const ArgParser& args) {
-  infer::set_mem_budget(args.get_int_at_least("mem-budget", 0));
-  infer::reset_plan_stats();
-}
-
 /// Export the per-tier planned activation peaks of this run as metrics
 /// gauges and ledger metrics (runtime.mem_peak.{device,edge,cloud}; 0 for
 /// tiers the hierarchy does not run). Byte-identical across reruns and
@@ -157,14 +126,6 @@ void apply_profile_flag(const ArgParser& args) {
   if (args.has_flag("profile")) obs::set_profiling_enabled(true);
 }
 
-/// Print the metrics registry, whose prof.<op>.* entries hold the per-op
-/// wall-clock timings, when profiling was armed.
-void report_profile() {
-  if (!obs::profiling_enabled()) return;
-  std::printf("\nmetrics (prof.* = wall-clock profile):\n%s",
-              obs::global_metrics().to_table().to_string().c_str());
-}
-
 /// Start a ledger record pre-filled with the identity flags every
 /// subcommand shares (preset/devices/filters/seed) plus the thread count.
 obs::LedgerRecord ledger_record(const std::string& command,
@@ -179,12 +140,94 @@ obs::LedgerRecord ledger_record(const std::string& command,
   return rec;
 }
 
-/// Append and tell the user where the record went (silent when the results
-/// dir is disabled).
-void finish_ledger(const obs::LedgerRecord& rec) {
-  const std::string path = obs::append_record(rec);
-  if (!path.empty()) {
-    std::printf("appended run record to %s\n", path.c_str());
+/// The options of every command that runs saved weights.
+void add_model_run_options(ArgParser& args) {
+  args.add_option("model", "weight file from `ddnn train`", "model.ddnn")
+      .add_option("engine",
+                  "inference engine: autograd|plan (default: $DDNN_ENGINE, "
+                  "else plan)",
+                  "")
+      .add_option("mem-budget",
+                  "hard cap on any section's planned activation arena in "
+                  "bytes (0 = unlimited); over-budget sections are "
+                  "batch-sliced to fit",
+                  "0");
+  add_profile_flag(args);
+}
+
+/// The prologue of every command that runs saved weights, on a `model`
+/// built from the same flags: arm --profile; apply --mem-budget and clear
+/// the per-tier peak stats, so the run reports only its own planned peaks;
+/// load --model in eval mode (batch-norm running statistics, and what the
+/// plan engine runs on); apply --engine, when given, and name the engine.
+void load_model(const ArgParser& args, core::DdnnModel& model) {
+  apply_profile_flag(args);
+  infer::set_mem_budget(args.get_int_at_least("mem-budget", 0));
+  infer::reset_plan_stats();
+  nn::load_state(model, args.get("model"));
+  model.set_training(false);
+  if (!args.get("engine").empty()) {
+    infer::set_engine_kind(infer::parse_engine_kind(args.get("engine")));
+  }
+  std::printf("inference engine: %s\n",
+              infer::to_string(infer::engine_kind()).c_str());
+}
+
+/// The summary `ddnn simulate` and the serve driver both print, so their
+/// runs read alike: accuracy, exit counts, latency and bytes, and the
+/// reliability table when anything went wrong.
+void print_run_summary(const dist::RuntimeMetrics& metrics) {
+  std::printf("accuracy %.1f%% over %lld samples\n", 100.0 * metrics.accuracy(),
+              static_cast<long long>(metrics.samples));
+  std::printf("exit counts:");
+  for (const auto c : metrics.exit_counts) {
+    std::printf(" %lld", static_cast<long long>(c));
+  }
+  std::printf("\nmean latency %.2f ms, %.1f B/sample/device, total %lld B\n",
+              1e3 * metrics.mean_latency_s(),
+              metrics.device_bytes_per_sample(0),
+              static_cast<long long>(metrics.total_bytes));
+  if (metrics.reliability.any()) {
+    std::printf("reliability:\n%s",
+                metrics.reliability.to_table().to_string().c_str());
+  }
+}
+
+/// Write the --trace-out, --metrics-out and --series-out artifacts whose
+/// flags are set, and say where each went. A null sink marks an output the
+/// command does not offer; every caller offers --metrics-out.
+void write_artifacts(const ArgParser& args, const obs::SpanTracer* tracer,
+                     const obs::WindowedSeries* series) {
+  if (tracer != nullptr && !args.get("trace-out").empty()) {
+    tracer->write_json(args.get("trace-out"));
+    std::printf("wrote %zu spans to %s\n", tracer->spans().size(),
+                args.get("trace-out").c_str());
+  }
+  if (!args.get("metrics-out").empty()) {
+    obs::global_metrics().write_json(args.get("metrics-out"));
+    std::printf("wrote metrics to %s\n", args.get("metrics-out").c_str());
+  }
+  if (series != nullptr && !args.get("series-out").empty()) {
+    series->write(args.get("series-out"));
+    std::printf("wrote %zu series windows to %s\n", series->window_count(),
+                args.get("series-out").c_str());
+  }
+}
+
+/// End a run: append its ledger record, when it has one, and say where it
+/// went (silent when the results dir is disabled); then print the metrics
+/// registry, whose prof.<op>.* entries hold the per-op wall-clock timings,
+/// when profiling was armed.
+void finish_run(const obs::LedgerRecord* rec) {
+  if (rec != nullptr) {
+    const std::string path = obs::append_record(*rec);
+    if (!path.empty()) {
+      std::printf("appended run record to %s\n", path.c_str());
+    }
+  }
+  if (obs::profiling_enabled()) {
+    std::printf("\nmetrics (prof.* = wall-clock profile):\n%s",
+                obs::global_metrics().to_table().to_string().c_str());
   }
 }
 
@@ -226,15 +269,7 @@ int cmd_train(int argc, const char* const* argv) {
               history.total_seconds);
   nn::save_state(model, args.get("out"));
   std::printf("saved weights to %s\n", args.get("out").c_str());
-  if (!args.get("metrics-out").empty()) {
-    obs::global_metrics().write_json(args.get("metrics-out"));
-    std::printf("wrote metrics to %s\n", args.get("metrics-out").c_str());
-  }
-  if (!args.get("series-out").empty()) {
-    series.write(args.get("series-out"));
-    std::printf("wrote %zu series windows to %s\n", series.window_count(),
-                args.get("series-out").c_str());
-  }
+  write_artifacts(args, nullptr, &series);
 
   obs::LedgerRecord rec = ledger_record("train", args);
   rec.add_info("epochs", args.get("epochs"));
@@ -246,8 +281,7 @@ int cmd_train(int argc, const char* const* argv) {
   rec.add_metric("train.final_loss", static_cast<double>(history.final_loss()));
   rec.add_metric("train.epochs", train_cfg.epochs);
   rec.add_metric("train.seconds", history.total_seconds);
-  finish_ledger(rec);
-  report_profile();
+  finish_run(&rec);
   return 0;
 }
 
@@ -256,24 +290,18 @@ int cmd_eval(int argc, const char* const* argv) {
                  "Evaluate a trained DDNN: per-exit accuracy, staged policy, "
                  "confusion matrix.");
   add_model_options(args);
-  args.add_option("model", "weight file from `ddnn train`", "model.ddnn")
-      .add_option("threshold", "local exit threshold T (-1 = grid search)",
-                  "0.8");
-  add_engine_option(args);
-  add_mem_budget_option(args);
-  add_profile_flag(args);
+  add_model_run_options(args);
+  args.add_option("threshold", "local exit threshold T (-1 = grid search)",
+                  "0.8")
+      .add_option("metrics-out", "write the metrics registry as JSON", "");
   if (!args.parse(argc, argv)) return 0;
-  apply_profile_flag(args);
-  apply_mem_budget(args);
 
-  const auto cfg = config_from(args);
+  core::DdnnModel model(config_from(args));
+  load_model(args, model);
+  const auto& cfg = model.config();
   const auto dataset = dataset_from(args);
-  core::DdnnModel model(cfg);
-  nn::load_state(model, args.get("model"));
-  std::printf("inference engine: %s\n", select_engine(args).c_str());
-
-  const auto devices = device_map_from(cfg);
-  const auto eval = core::evaluate_exits(model, dataset.test(), devices);
+  const auto eval =
+      core::evaluate_exits(model, dataset.test(), device_map_from(cfg));
   obs::LedgerRecord rec = ledger_record("eval", args);
   rec.add_info("engine", infer::to_string(infer::engine_kind()));
   rec.add_info("model", args.get("model"));
@@ -285,44 +313,71 @@ int cmd_eval(int argc, const char* const* argv) {
     rec.add_metric("exit_acc." + eval.exit_names[e],
                    core::exit_accuracy(eval, e));
   }
-  if (cfg.num_exits() == 1) {
-    finish_ledger(rec);
-    report_profile();
-    return 0;
-  }
 
-  std::vector<double> thresholds;
-  const double t = args.get_double("threshold");
-  if (t < 0.0) {
-    thresholds = core::search_thresholds_best_overall(eval, 0.1);
-    std::printf("grid-searched thresholds:");
-    for (const double x : thresholds) std::printf(" %.2f", x);
-    std::printf("\n");
-  } else {
-    thresholds.assign(static_cast<std::size_t>(cfg.num_exits()) - 1, t);
-  }
-  const auto policy = core::apply_policy(eval, thresholds);
-  std::printf("overall accuracy %.1f%%; exit split:",
-              100.0 * policy.overall_accuracy);
-  for (const double f : policy.exit_fraction) std::printf(" %.1f%%", 100.0 * f);
-  std::printf("\n\n");
+  if (cfg.num_exits() > 1) {
+    std::vector<double> thresholds;
+    const double t = args.get_double("threshold");
+    if (t < 0.0) {
+      thresholds = core::search_thresholds_best_overall(eval, 0.1);
+      std::printf("grid-searched thresholds:");
+      for (const double x : thresholds) std::printf(" %.2f", x);
+      std::printf("\n");
+    } else {
+      thresholds.assign(static_cast<std::size_t>(cfg.num_exits()) - 1, t);
+    }
+    const auto policy = core::apply_policy(eval, thresholds);
+    std::printf("overall accuracy %.1f%%; exit split:",
+                100.0 * policy.overall_accuracy);
+    for (const double f : policy.exit_fraction) {
+      std::printf(" %.1f%%", 100.0 * f);
+    }
+    std::printf("\n\n");
 
-  core::ConfusionMatrix confusion(cfg.num_classes);
-  for (std::size_t i = 0; i < policy.decisions.size(); ++i) {
-    confusion.add(eval.labels[i], policy.decisions[i].prediction);
+    core::ConfusionMatrix confusion(cfg.num_classes);
+    for (std::size_t i = 0; i < policy.decisions.size(); ++i) {
+      confusion.add(eval.labels[i], policy.decisions[i].prediction);
+    }
+    std::printf("%s", confusion.to_table({"car", "bus", "person"})
+                          .to_string()
+                          .c_str());
+    rec.add_info("threshold", args.get("threshold"));
+    rec.add_metric("overall_acc", policy.overall_accuracy);
+    for (std::size_t e = 0; e < policy.exit_fraction.size(); ++e) {
+      rec.add_metric("exit_frac." + eval.exit_names[e],
+                     policy.exit_fraction[e]);
+    }
   }
-  std::printf("%s", confusion.to_table({"car", "bus", "person"})
-                        .to_string()
-                        .c_str());
-  rec.add_info("threshold", args.get("threshold"));
-  rec.add_metric("overall_acc", policy.overall_accuracy);
-  for (std::size_t e = 0; e < policy.exit_fraction.size(); ++e) {
-    rec.add_metric("exit_frac." + eval.exit_names[e],
-                   policy.exit_fraction[e]);
-  }
-  finish_ledger(rec);
-  report_profile();
+  write_artifacts(args, nullptr, nullptr);
+  finish_run(&rec);
   return 0;
+}
+
+/// The FaultPlan of `ddnn simulate`'s --fault-seed, --drop, --intermittent
+/// and --outage flags.
+dist::FaultPlan fault_plan_from(const ArgParser& args,
+                                const core::DdnnConfig& cfg) {
+  dist::FaultPlan plan;
+  plan.seed = static_cast<std::uint64_t>(args.get_int("fault-seed"));
+  plan.link_drop_prob = args.get_double("drop");
+  const double intermittent = args.get_double("intermittent");
+  if (intermittent > 0.0) {
+    plan.devices.assign(static_cast<std::size_t>(cfg.num_devices),
+                        {.intermittent_down_prob = intermittent});
+  }
+  const std::string outage = args.get("outage");
+  if (!outage.empty()) {
+    const auto colon = outage.find(':');
+    const auto start = parse_int(outage.substr(0, colon));
+    const auto end = colon == std::string::npos
+                         ? std::nullopt
+                         : parse_int(outage.substr(colon + 1));
+    DDNN_CHECK(start.has_value() && end.has_value(),
+               "--outage expects start:end sample indices, got '" << outage
+                                                                 << "'");
+    plan.edge_outages.push_back(
+        {.group = -1, .start_sample = *start, .end_sample = *end});
+  }
+  return plan;
 }
 
 int cmd_simulate(int argc, const char* const* argv) {
@@ -330,8 +385,8 @@ int cmd_simulate(int argc, const char* const* argv) {
                  "Run a trained DDNN on the simulated distributed hierarchy "
                  "with byte/latency accounting and optional failures.");
   add_model_options(args);
-  args.add_option("model", "weight file from `ddnn train`", "model.ddnn")
-      .add_option("threshold", "exit threshold for every non-final exit",
+  add_model_run_options(args);
+  args.add_option("threshold", "exit threshold for every non-final exit",
                   "0.8")
       .add_option("fail", "comma-separated 1-based devices to fail", "")
       .add_option("drop", "per-attempt link drop probability", "0")
@@ -402,55 +457,32 @@ int cmd_simulate(int argc, const char* const* argv) {
                   "")
       .add_option("fleet-series-window",
                   "fleet: series window width in simulated seconds", "5");
-  add_engine_option(args);
-  add_mem_budget_option(args);
-  add_profile_flag(args);
   if (!args.parse(argc, argv)) return 0;
-  apply_profile_flag(args);
-  apply_mem_budget(args);
 
+  // Fault flags are parsed first, so a malformed one fails before the
+  // weights load.
   const auto cfg = config_from(args);
-  const auto dataset = dataset_from(args);
+  const auto plan = fault_plan_from(args, cfg);
+  const bool faulty = plan.link_drop_prob > 0.0 || !plan.devices.empty() ||
+                      !plan.edge_outages.empty();
   core::DdnnModel model(cfg);
-  nn::load_state(model, args.get("model"));
-  model.set_training(false);  // eval-mode BN; also enables the plan engine
-  std::printf("inference engine: %s\n", select_engine(args).c_str());
+  load_model(args, model);
+  const auto dataset = dataset_from(args);
 
-  const auto devices = device_map_from(cfg);
   const std::vector<double> thresholds(
       static_cast<std::size_t>(cfg.num_exits()) - 1,
       args.get_double("threshold"));
   dist::RuntimeConfig runtime_cfg;
   runtime_cfg.reliability.max_retries =
       static_cast<int>(args.get_int("retries"));
-  dist::HierarchyRuntime runtime(model, thresholds, devices, runtime_cfg);
+  dist::HierarchyRuntime runtime(model, thresholds, device_map_from(cfg),
+                                 runtime_cfg);
   for (const int failed : parse_int_list(args.get("fail"))) {
     DDNN_CHECK(failed >= 1 && failed <= cfg.num_devices,
                "--fail device " << failed << " out of range");
     runtime.set_device_failed(failed - 1, true);
     std::printf("device %d marked failed\n", failed);
   }
-
-  dist::FaultPlan plan;
-  plan.seed = static_cast<std::uint64_t>(args.get_int("fault-seed"));
-  plan.link_drop_prob = args.get_double("drop");
-  const double intermittent = args.get_double("intermittent");
-  if (intermittent > 0.0) {
-    plan.devices.assign(static_cast<std::size_t>(cfg.num_devices),
-                        {.intermittent_down_prob = intermittent});
-  }
-  const std::string outage = args.get("outage");
-  if (!outage.empty()) {
-    const auto colon = outage.find(':');
-    DDNN_CHECK(colon != std::string::npos,
-               "--outage expects start:end, got '" << outage << "'");
-    plan.edge_outages.push_back(
-        {.group = -1,
-         .start_sample = std::stoll(outage.substr(0, colon)),
-         .end_sample = std::stoll(outage.substr(colon + 1))});
-  }
-  const bool faulty = plan.link_drop_prob > 0.0 || !plan.devices.empty() ||
-                      !plan.edge_outages.empty();
   if (faulty) runtime.set_fault_plan(plan);
 
   obs::SpanTracer tracer;
@@ -467,21 +499,7 @@ int cmd_simulate(int argc, const char* const* argv) {
   for (const auto& sample : dataset.test()) {
     traces.push_back(runtime.classify(sample));
   }
-  const auto metrics = runtime.metrics();
-  std::printf("accuracy %.1f%% over %lld samples\n", 100.0 * metrics.accuracy(),
-              static_cast<long long>(metrics.samples));
-  std::printf("exit counts:");
-  for (const auto c : metrics.exit_counts) {
-    std::printf(" %lld", static_cast<long long>(c));
-  }
-  std::printf("\nmean latency %.2f ms, %.1f B/sample/device, total %lld B\n",
-              1e3 * metrics.mean_latency_s(),
-              metrics.device_bytes_per_sample(0),
-              static_cast<long long>(metrics.total_bytes));
-  if (metrics.reliability.any()) {
-    std::printf("reliability:\n%s",
-                metrics.reliability.to_table().to_string().c_str());
-  }
+  print_run_summary(runtime.metrics());
   {
     // Planned activation peak per hierarchy node. Devices (and edge
     // stations) run identical plans, so each node of a tier reports that
@@ -503,20 +521,7 @@ int cmd_simulate(int argc, const char* const* argv) {
          Table::num(static_cast<double>(plan_stats.cloud_peak_bytes), 0)});
     std::printf("planned activation peaks:\n%s", peaks.to_string().c_str());
   }
-  if (!args.get("trace-out").empty()) {
-    tracer.write_json(args.get("trace-out"));
-    std::printf("wrote %zu spans to %s\n", tracer.spans().size(),
-                args.get("trace-out").c_str());
-  }
-  if (!args.get("metrics-out").empty()) {
-    obs::global_metrics().write_json(args.get("metrics-out"));
-    std::printf("wrote metrics to %s\n", args.get("metrics-out").c_str());
-  }
-  if (!args.get("series-out").empty()) {
-    series.write(args.get("series-out"));
-    std::printf("wrote %zu series windows to %s\n", series.window_count(),
-                args.get("series-out").c_str());
-  }
+  write_artifacts(args, &tracer, &series);
   if (!args.get("decisions-out").empty()) {
     dist::write_decisions_csv(args.get("decisions-out"), traces);
     std::printf("wrote %zu decisions to %s\n", traces.size(),
@@ -603,31 +608,15 @@ int cmd_simulate(int argc, const char* const* argv) {
   if (faulty) {
     rec.add_info("drop", args.get("drop"));
     rec.add_info("intermittent", args.get("intermittent"));
-    if (!outage.empty()) rec.add_info("outage", outage);
+    if (!args.get("outage").empty()) {
+      rec.add_info("outage", args.get("outage"));
+    }
     if (!args.get("fail").empty()) rec.add_info("fail", args.get("fail"));
   }
   if (!args.get("series-out").empty()) {
     rec.add_info("series", args.get("series-out"));
   }
-  rec.add_metric("runtime.samples", static_cast<double>(metrics.samples));
-  rec.add_metric("runtime.accuracy", metrics.accuracy());
-  rec.add_metric("runtime.bytes_total",
-                 static_cast<double>(metrics.total_bytes));
-  rec.add_metric("runtime.mean_latency_ms", 1e3 * metrics.mean_latency_s());
-  for (std::size_t e = 0; e < metrics.exit_counts.size(); ++e) {
-    rec.add_metric("runtime.exit." + model.exit_names()[e],
-                   static_cast<double>(metrics.exit_counts[e]));
-  }
-  rec.add_metric("runtime.drops",
-                 static_cast<double>(metrics.reliability.drops));
-  rec.add_metric("runtime.retries",
-                 static_cast<double>(metrics.reliability.retries));
-  rec.add_metric("runtime.timeouts",
-                 static_cast<double>(metrics.reliability.timeouts));
-  rec.add_metric("runtime.degraded",
-                 static_cast<double>(metrics.reliability.degraded_exits));
-  rec.add_metric("runtime.dead",
-                 static_cast<double>(metrics.reliability.dead_samples));
+  dist::add_ledger_metrics(rec, runtime.metrics(), model.exit_names());
   if (fleet_devices > 0) {
     rec.add_info("fleet-devices", args.get("fleet-devices"));
     rec.add_info("fleet-edges", args.get("fleet-edges"));
@@ -635,22 +624,9 @@ int cmd_simulate(int argc, const char* const* argv) {
     if (!args.get("fleet-series-out").empty()) {
       rec.add_info("series", args.get("fleet-series-out"));
     }
-    rec.add_metric("fleet.arrivals", static_cast<double>(fleet.arrivals));
-    rec.add_metric("fleet.completed", static_cast<double>(fleet.completed));
-    rec.add_metric("fleet.local", static_cast<double>(fleet.local));
-    rec.add_metric("fleet.escalated", static_cast<double>(fleet.escalated));
-    rec.add_metric("fleet.shed", static_cast<double>(fleet.shed));
-    rec.add_metric("fleet.dead", static_cast<double>(fleet.dead));
-    rec.add_metric("fleet.throughput_hz", fleet.throughput_hz);
-    rec.add_metric("fleet.mean_latency_ms", 1e3 * fleet.mean_latency_s);
-    rec.add_metric("fleet.p50_latency_ms", 1e3 * fleet.p50_latency_s);
-    rec.add_metric("fleet.p95_latency_ms", 1e3 * fleet.p95_latency_s);
-    rec.add_metric("fleet.max_latency_ms", 1e3 * fleet.max_latency_s);
-    rec.add_metric("fleet.edge_util_mean", fleet.mean_edge_utilization());
-    rec.add_metric("fleet.cloud_util", fleet.cloud.utilization);
+    dist::add_ledger_metrics(rec, fleet);
   }
-  finish_ledger(rec);
-  report_profile();
+  finish_run(&rec);
   return 0;
 }
 
@@ -662,8 +638,8 @@ int cmd_serve(int argc, const char* const* argv) {
                  "test set through the stack and reports the same metrics "
                  "as `ddnn simulate` (with wall-clock latency).");
   add_model_options(args);
+  add_model_run_options(args);
   args.add_option("role", "tier to run: device|edge|cloud", "")
-      .add_option("model", "weight file from `ddnn train`", "model.ddnn")
       .add_option("threshold", "exit threshold for every non-final exit",
                   "0.8")
       .add_option("listen",
@@ -698,22 +674,15 @@ int cmd_serve(int argc, const char* const* argv) {
                   "write this role's metrics registry as JSON (serving "
                   "roles also answer live Stats polls — see `ddnn top`)",
                   "");
-  add_engine_option(args);
-  add_mem_budget_option(args);
-  add_profile_flag(args);
   if (!args.parse(argc, argv)) return 0;
-  apply_profile_flag(args);
-  apply_mem_budget(args);
 
   const std::string role = args.get("role");
   DDNN_CHECK(role == "device" || role == "edge" || role == "cloud",
              "--role must be device, edge or cloud (got '" << role << "')");
 
-  const auto cfg = config_from(args);
-  core::DdnnModel model(cfg);
-  nn::load_state(model, args.get("model"));
-  model.set_training(false);  // eval-mode BN; also enables the plan engine
-  std::printf("inference engine: %s\n", select_engine(args).c_str());
+  core::DdnnModel model(config_from(args));
+  load_model(args, model);
+  const auto& cfg = model.config();
 
   dist::ServeOptions opts;
   opts.listen_port = static_cast<int>(args.get_int_at_least("listen", 0));
@@ -739,16 +708,8 @@ int cmd_serve(int argc, const char* const* argv) {
   if (role == "cloud" || role == "edge") {
     const int rc = role == "cloud" ? dist::serve_cloud(model, opts)
                                    : dist::serve_edge(model, opts);
-    if (!args.get("trace-out").empty()) {
-      tracer.write_json(args.get("trace-out"));
-      std::printf("wrote %zu spans to %s\n", tracer.spans().size(),
-                  args.get("trace-out").c_str());
-    }
-    if (!args.get("metrics-out").empty()) {
-      obs::global_metrics().write_json(args.get("metrics-out"));
-      std::printf("wrote metrics to %s\n", args.get("metrics-out").c_str());
-    }
-    report_profile();
+    write_artifacts(args, &tracer, nullptr);
+    finish_run(nullptr);
     return rc;
   }
 
@@ -758,31 +719,8 @@ int cmd_serve(int argc, const char* const* argv) {
 
   const auto result = dist::drive_hierarchy(model, dataset.test(),
                                             device_map_from(cfg), opts);
-  const auto& metrics = result.metrics;
-  std::printf("accuracy %.1f%% over %lld samples\n",
-              100.0 * metrics.accuracy(),
-              static_cast<long long>(metrics.samples));
-  std::printf("exit counts:");
-  for (const auto c : metrics.exit_counts) {
-    std::printf(" %lld", static_cast<long long>(c));
-  }
-  std::printf("\nmean latency %.2f ms, %.1f B/sample/device, total %lld B\n",
-              1e3 * metrics.mean_latency_s(),
-              metrics.device_bytes_per_sample(0),
-              static_cast<long long>(metrics.total_bytes));
-  if (metrics.reliability.any()) {
-    std::printf("reliability:\n%s",
-                metrics.reliability.to_table().to_string().c_str());
-  }
-  if (!args.get("trace-out").empty()) {
-    tracer.write_json(args.get("trace-out"));
-    std::printf("wrote %zu spans to %s\n", tracer.spans().size(),
-                args.get("trace-out").c_str());
-  }
-  if (!args.get("metrics-out").empty()) {
-    obs::global_metrics().write_json(args.get("metrics-out"));
-    std::printf("wrote metrics to %s\n", args.get("metrics-out").c_str());
-  }
+  print_run_summary(result.metrics);
+  write_artifacts(args, &tracer, nullptr);
   if (!opts.decisions_out.empty()) {
     std::printf("wrote %zu decisions to %s\n", result.traces.size(),
                 opts.decisions_out.c_str());
@@ -794,27 +732,8 @@ int cmd_serve(int argc, const char* const* argv) {
   rec.add_info("threshold", args.get("threshold"));
   rec.add_info("transport", "socket");
   record_mem_peaks(rec);
-  rec.add_metric("runtime.samples", static_cast<double>(metrics.samples));
-  rec.add_metric("runtime.accuracy", metrics.accuracy());
-  rec.add_metric("runtime.bytes_total",
-                 static_cast<double>(metrics.total_bytes));
-  rec.add_metric("runtime.mean_latency_ms", 1e3 * metrics.mean_latency_s());
-  for (std::size_t e = 0; e < metrics.exit_counts.size(); ++e) {
-    rec.add_metric("runtime.exit." + model.exit_names()[e],
-                   static_cast<double>(metrics.exit_counts[e]));
-  }
-  rec.add_metric("runtime.drops",
-                 static_cast<double>(metrics.reliability.drops));
-  rec.add_metric("runtime.retries",
-                 static_cast<double>(metrics.reliability.retries));
-  rec.add_metric("runtime.timeouts",
-                 static_cast<double>(metrics.reliability.timeouts));
-  rec.add_metric("runtime.degraded",
-                 static_cast<double>(metrics.reliability.degraded_exits));
-  rec.add_metric("runtime.dead",
-                 static_cast<double>(metrics.reliability.dead_samples));
-  finish_ledger(rec);
-  report_profile();
+  dist::add_ledger_metrics(rec, result.metrics, model.exit_names());
+  finish_run(&rec);
   return 0;
 }
 
@@ -846,8 +765,17 @@ int cmd_trace_merge(int argc, const char* const* argv) {
   rec.add_metric("merge.spans", static_cast<double>(stats.spans));
   rec.add_metric("merge.max_abs_offset_ms", 1e3 * stats.max_abs_offset_s);
   rec.add_metric("merge.shift_ms", 1e3 * stats.shift_s);
-  finish_ledger(rec);
+  finish_run(&rec);
   return 0;
+}
+
+/// Write `text` to `path` byte for byte and say what went there.
+void write_text(const std::string& path, const std::string& text,
+                const char* what) {
+  std::ofstream out(path, std::ios::binary);
+  DDNN_CHECK(out.good(), "cannot open '" << path << "' for writing");
+  out << text;
+  std::printf("wrote %s to %s\n", what, path.c_str());
 }
 
 /// One request/reply round of a poll-style frame (Stats or Health) against
@@ -961,11 +889,7 @@ int cmd_top(int argc, const char* const* argv) {
     std::this_thread::sleep_for(std::chrono::duration<double>(interval_s));
   }
   if (!args.get("json-out").empty()) {
-    std::ofstream out(args.get("json-out"), std::ios::binary);
-    DDNN_CHECK(out.good(), "cannot open '" << args.get("json-out")
-                                           << "' for writing");
-    out << last;
-    std::printf("wrote final snapshot to %s\n", args.get("json-out").c_str());
+    write_text(args.get("json-out"), last, "final snapshot");
   }
   return 0;
 }
@@ -1015,12 +939,7 @@ int cmd_health(int argc, const char* const* argv) {
         poll_frame(*conn, dist::FrameKind::kHealth, 1, timeout_s);
     std::printf("%s", health.c_str());
     if (!args.get("json-out").empty()) {
-      std::ofstream out(args.get("json-out"), std::ios::binary);
-      DDNN_CHECK(out.good(), "cannot open '" << args.get("json-out")
-                                             << "' for writing");
-      out << health;
-      std::printf("wrote health snapshot to %s\n",
-                  args.get("json-out").c_str());
+      write_text(args.get("json-out"), health, "health snapshot");
     }
     return 0;
   }
@@ -1085,11 +1004,7 @@ int cmd_health(int argc, const char* const* argv) {
   }
   std::printf("overall: %s\n", obs::to_string(slo.overall()));
   if (!args.get("json-out").empty()) {
-    std::ofstream out(args.get("json-out"), std::ios::binary);
-    DDNN_CHECK(out.good(), "cannot open '" << args.get("json-out")
-                                           << "' for writing");
-    out << slo.to_json();
-    std::printf("wrote SLO state to %s\n", args.get("json-out").c_str());
+    write_text(args.get("json-out"), slo.to_json(), "SLO state");
   }
   return 0;
 }
