@@ -15,6 +15,12 @@ constexpr std::uint64_t kLinkDropSalt = 0x6c696e6b64726f70ull;   // "linkdrop"
 constexpr std::uint64_t kDeviceDownSalt = 0x646576646f776e21ull; // "devdown!"
 constexpr std::uint64_t kJitterSalt = 0x6a69747465722121ull;     // "jitter!!"
 
+/// Retry backoff: the wait before the first retry, its growth per retry,
+/// and the +- fraction of it a jitter draw spans.
+constexpr double kBackoffBaseS = 10e-3;
+constexpr double kBackoffFactor = 2.0;
+constexpr double kJitterFrac = 0.2;
+
 std::uint64_t fnv1a(std::string_view s) {
   std::uint64_t h = 1469598103934665603ull;
   for (const char c : s) {
@@ -117,10 +123,13 @@ double FaultInjector::backoff_jitter(std::string_view link,
 void ReliabilityConfig::validate() const {
   DDNN_CHECK(max_retries >= 0, "negative retry budget");
   DDNN_CHECK(timeout_s > 0.0, "non-positive delivery deadline");
-  DDNN_CHECK(backoff_base_s >= 0.0, "negative backoff base");
-  DDNN_CHECK(backoff_factor >= 1.0, "backoff factor below 1 would shrink");
-  DDNN_CHECK(jitter_frac >= 0.0 && jitter_frac < 1.0,
-             "jitter fraction outside [0, 1)");
+}
+
+double retry_backoff_s(int retry, double u) {
+  double backoff = kBackoffBaseS;
+  for (int i = 0; i < retry; ++i) backoff *= kBackoffFactor;
+  // Jitter is symmetric around the nominal backoff: [1-j, 1+j).
+  return backoff * (1.0 + kJitterFrac * (2.0 * u - 1.0));
 }
 
 ReliableChannel::ReliableChannel(Link& link, const FaultInjector* injector,
@@ -132,17 +141,13 @@ ReliableChannel::ReliableChannel(Link& link, const FaultInjector* injector,
 SendResult ReliableChannel::send(const Message& msg,
                                  std::int64_t sample_index) {
   SendResult result;
-  double backoff = config_.backoff_base_s;
   for (int attempt = 0; attempt <= config_.max_retries; ++attempt) {
     if (attempt > 0) {
-      // Jitter is symmetric around the nominal backoff: [1-j, 1+j).
       const double u =
           injector_ ? injector_->backoff_jitter(link_.name(), sample_index,
                                                 attempt)
                     : 0.5;
-      result.latency_s +=
-          backoff * (1.0 + config_.jitter_frac * (2.0 * u - 1.0));
-      backoff *= config_.backoff_factor;
+      result.latency_s += retry_backoff_s(attempt - 1, u);
     }
     ++result.attempts;
     if (injector_ && injector_->drop(link_.name(), sample_index, attempt)) {

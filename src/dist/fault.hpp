@@ -94,16 +94,20 @@ class FaultInjector {
   FaultPlan plan_;
 };
 
-/// Retry/timeout policy for a ReliableChannel.
+/// Retry/timeout policy for a ReliableChannel (and the socket transport).
+/// The wait before each retry is fixed: see retry_backoff_s().
 struct ReliabilityConfig {
-  int max_retries = 2;           ///< re-attempts after the first send
-  double timeout_s = 50e-3;      ///< per-attempt delivery deadline
-  double backoff_base_s = 10e-3; ///< wait before the first retry
-  double backoff_factor = 2.0;   ///< exponential growth per retry
-  double jitter_frac = 0.2;      ///< +- fraction of the backoff, seeded
+  int max_retries = 2;       ///< re-attempts after the first send
+  double timeout_s = 50e-3;  ///< per-attempt delivery deadline
 
   void validate() const;
 };
+
+/// The wait before re-attempt `retry` (0 = the first retry): 10 ms, doubled
+/// per retry, scaled by a jitter draw `u` in [0, 1) to [0.8, 1.2) of that.
+/// u = 0.5 is the jitter-free wait, what a send without a FaultInjector
+/// (and every socket retry) waits.
+double retry_backoff_s(int retry, double u = 0.5);
 
 /// Outcome of one reliable send.
 struct SendResult {
@@ -125,7 +129,8 @@ class ReliableChannel {
 
   /// Attempt delivery of `msg` for sample `sample_index`, retrying dropped
   /// attempts up to config.max_retries times. A dropped attempt costs the
-  /// full timeout; each retry is preceded by jittered exponential backoff.
+  /// full timeout; each retry is preceded by retry_backoff_s() of a seeded
+  /// jitter draw.
   SendResult send(const Message& msg, std::int64_t sample_index);
 
  private:

@@ -8,16 +8,19 @@
 #include "core/entropy.hpp"
 #include "tensor/tensor_ops.hpp"
 #include "util/error.hpp"
+#include "util/stopwatch.hpp"
 
 namespace ddnn::dist {
 
 namespace {
 
-double wall_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+/// Edge-to-cloud links: a faster backhaul than the device uplinks.
+constexpr LinkConfig kEdgeLink{.bandwidth_bytes_per_s = 2e6,
+                               .base_latency_s = 10e-3};
+/// Fixed compute latency the simulator charges per tier per sample (s).
+constexpr double kDeviceComputeS = 2e-3;
+constexpr double kEdgeComputeS = 1e-3;
+constexpr double kCloudComputeS = 0.5e-3;
 
 /// argmax + normalized entropy of a [1, C] score vector — the decision rule
 /// every exit applies to its fused scores.
@@ -89,9 +92,9 @@ HierarchyRuntime::HierarchyRuntime(core::DdnnModel& model,
     for (std::size_t g = 0; g < cfg.edge_groups.size(); ++g) {
       edges_.emplace_back(g, model_);
       edge_coord_links_.emplace_back("edge" + std::to_string(g) + "->coord",
-                                     config_.edge_link);
+                                     kEdgeLink);
       edge_cloud_links_.emplace_back("edge" + std::to_string(g) + "->cloud",
-                                     config_.edge_link);
+                                     kEdgeLink);
     }
   }
   // The book owns link.* of every hop into an in-process tier; a hop into a
@@ -509,7 +512,7 @@ bool HierarchyRuntime::sense(Pass& p, const data::MvmcSample& sample) {
     any_alive = true;
   }
   if (!any_alive) return false;
-  const double dur = p.charge(start, config_.device_compute_s);
+  const double dur = p.charge(start, kDeviceComputeS);
   if (tracer_) {
     for (std::size_t b = 0; b < devices_.size(); ++b) {
       if (!p.alive[b]) continue;
@@ -609,7 +612,7 @@ TierDecision HierarchyRuntime::run_edge(Pass& p, const Messages& features,
     if (!active[g]) continue;
     const double start = p.now();
     edge_scores[g] = edges_[g].process(members, 1);
-    const double dur = p.charge(start, config_.edge_compute_s);
+    const double dur = p.charge(start, kEdgeComputeS);
     trunk = std::max(trunk, dur);
     if (tracer_) {
       span(p, "edge_trunk", "compute", edge_track(static_cast<int>(g)),
@@ -743,7 +746,7 @@ TierDecision HierarchyRuntime::run_cloud(Pass& p, ClassifyMode mode,
                                           : device_feature_shape(cfg));
   const ExitDecision d =
       decide_exit(model_.cloud_section(in.values, in.active).value());
-  const double dur = p.charge(start, config_.cloud_compute_s);
+  const double dur = p.charge(start, kCloudComputeS);
   if (tracer_) {
     span(p, "cloud_classify", "compute", cloud_track(),
          p.base + p.trace.latency_s, dur)

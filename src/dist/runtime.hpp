@@ -22,7 +22,7 @@
 // Every message crosses a Link, so byte counts are measured, not modelled;
 // tests assert the measured per-device bytes match the paper's Eq. 1. The
 // transport sets the clock: the simulator charges modelled link latency and
-// RuntimeConfig's compute costs, a socket transport measured wall time.
+// fixed per-tier compute costs, a socket transport measured wall time.
 //
 // Degradation, with a FaultPlan installed (set_fault_plan) or a remote tier
 // that stops answering:
@@ -57,16 +57,12 @@
 
 namespace ddnn::dist {
 
+/// What a run varies about the hierarchy. The edge-to-cloud backhaul and
+/// the per-tier compute costs the simulator charges are fixed (runtime.cpp).
 struct RuntimeConfig {
   /// Device uplinks (to gateway / edge / cloud): constrained wireless.
   LinkConfig device_link{};
-  /// Edge-to-cloud links: faster backhaul.
-  LinkConfig edge_link{.bandwidth_bytes_per_s = 2e6, .base_latency_s = 10e-3};
-  /// Fixed compute latency charged per tier per sample (seconds).
-  double device_compute_s = 2e-3;
-  double edge_compute_s = 1e-3;
-  double cloud_compute_s = 0.5e-3;
-  /// Timeout/retry/backoff policy applied to every send. With no fault plan
+  /// Timeout/retry policy applied to every send. With no fault plan
   /// installed nothing is ever dropped, so this is inert for healthy runs.
   ReliabilityConfig reliability{};
 };

@@ -3,7 +3,6 @@
 #include <poll.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -14,15 +13,14 @@
 #include "obs/slo.hpp"
 #include "infer/workspace.hpp"
 #include "util/error.hpp"
+#include "util/stopwatch.hpp"
 
 namespace ddnn::dist {
 namespace {
 
-double wall_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+/// How long the driver and the edge wait to connect to, and handshake
+/// with, the tier above them.
+constexpr double kConnectTimeoutS = 10.0;
 
 // ------------------------------------------------------ protocol payloads
 
@@ -37,6 +35,7 @@ Frame decision_frame(std::int64_t sample, const TierDecision& d) {
   w.i64(d.bytes);
   w.u8(d.degraded ? 1 : 0);
   frame.payload = w.take();
+  return frame;
   return frame;
 }
 
@@ -332,8 +331,7 @@ class FrameServer {
     } else if (frame.kind == FrameKind::kStats) {
       doc = opts_.metrics->to_json();
     } else {
-      doc = obs::health_from_metrics(opts_.metrics->to_json(),
-                                     obs::SnapshotSloConfig{});
+      doc = obs::health_from_metrics(opts_.metrics->to_json());
     }
     Frame reply;
     reply.kind = frame.kind;
@@ -521,13 +519,13 @@ int serve_edge(core::DdnnModel& model, const ServeOptions& opts) {
   runtime.set_transport(&uplink);
   if (!opts.blackhole) {
     DDNN_CHECK(!opts.cloud_addr.empty(), "edge role needs --cloud host:port");
-    auto cloud_conn = connect_to(opts.cloud_addr, opts.connect_timeout_s);
+    auto cloud_conn = connect_to(opts.cloud_addr, kConnectTimeoutS);
     DDNN_CHECK(cloud_conn != nullptr,
                "cannot reach the cloud at " << opts.cloud_addr);
     uplink.attach(runtime.edge_cloud_links()[0].name(), cloud_conn);
     uplink.attach("cloud-ctl", cloud_conn);
     DDNN_CHECK(handshake(uplink, "cloud-ctl", "edge", signature,
-                         opts.connect_timeout_s),
+                         kConnectTimeoutS),
                "cloud handshake failed");
   }
   if (opts.tracer != nullptr) {
@@ -597,7 +595,7 @@ DriveResult drive_hierarchy(core::DdnnModel& model,
     transport.attach(ctl, conn);
     for (const Link& l : links) transport.attach(l.name(), conn);
   };
-  auto cloud_conn = connect_to(opts.cloud_addr, opts.connect_timeout_s);
+  auto cloud_conn = connect_to(opts.cloud_addr, kConnectTimeoutS);
   DDNN_CHECK(cloud_conn != nullptr,
              "cannot reach the cloud at " << opts.cloud_addr);
   // Without an edge tier the device uplinks end at the cloud; with one, the
@@ -607,13 +605,13 @@ DriveResult drive_hierarchy(core::DdnnModel& model,
                         : runtime.device_uplink_links(),
          cloud_conn);
   const auto cloud_offset = handshake(transport, "cloud-ctl", "driver",
-                                      signature, opts.connect_timeout_s);
+                                      signature, kConnectTimeoutS);
   DDNN_CHECK(cloud_offset.has_value(), "cloud handshake failed");
   if (tr != nullptr) tr->set_meta("offset_cloud_s", *cloud_offset);
 
   if (cfg.has_edge()) {
     std::optional<double> edge_offset;
-    if (auto edge_conn = connect_to(opts.edge_addr, opts.connect_timeout_s)) {
+    if (auto edge_conn = connect_to(opts.edge_addr, kConnectTimeoutS)) {
       attach("edge-ctl", runtime.device_uplink_links(), edge_conn);
       edge_offset = handshake(transport, "edge-ctl", "driver", signature,
                               opts.decision_timeout_s);

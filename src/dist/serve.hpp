@@ -45,13 +45,12 @@ struct ServeOptions {
 
   /// One normalized-entropy threshold per non-final exit.
   std::vector<double> thresholds;
-  /// Timeout/retry/backoff for every framed send (same struct the
-  /// simulator's ReliableChannel uses).
+  /// Timeout and retry budget for every framed send (same struct the
+  /// simulator's ReliableChannel uses; retries wait retry_backoff_s()).
   ReliabilityConfig reliability{};
   /// Driver/edge: how long to wait for a Decision before treating the tier
   /// above as unreachable.
   double decision_timeout_s = 5.0;
-  double connect_timeout_s = 10.0;
   /// Servers: exit after this much silence (keeps CI runs from hanging).
   double idle_timeout_s = 120.0;
 

@@ -19,15 +19,10 @@
 #include "obs/profile.hpp"
 #include "util/args.hpp"
 #include "util/error.hpp"
+#include "util/stopwatch.hpp"
 
 namespace ddnn::dist {
 namespace {
-
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 void sleep_s(double seconds) {
   if (seconds <= 0.0) return;
@@ -86,12 +81,6 @@ bool known_frame_kind(std::uint8_t raw) {
       return true;
   }
   return false;
-}
-
-double backoff_before_retry(const ReliabilityConfig& config, int retry_index) {
-  double backoff = config.backoff_base_s;
-  for (int i = 0; i < retry_index; ++i) backoff *= config.backoff_factor;
-  return backoff;
 }
 
 }  // namespace
@@ -423,7 +412,7 @@ void FrameConn::queue(const Frame& frame) {
 
 bool FrameConn::flush(double timeout_s) {
   DDNN_PROF_SCOPE("transport.flush");
-  const double deadline = now_s() + timeout_s;
+  const double deadline = wall_s() + timeout_s;
   while (out_pos_ < out_.size()) {
     DDNN_CHECK(fd_ >= 0, "flush on closed connection");
     const ssize_t n = ::send(fd_, out_.data() + out_pos_,
@@ -433,7 +422,7 @@ bool FrameConn::flush(double timeout_s) {
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      const double remaining = deadline - now_s();
+      const double remaining = deadline - wall_s();
       if (remaining <= 0.0) return false;
       struct pollfd pfd {
         fd_, POLLOUT, 0
@@ -493,13 +482,13 @@ std::optional<Frame> FrameConn::parse_one() {
 }
 
 std::optional<Frame> FrameConn::read_frame(double timeout_s) {
-  const double deadline = now_s() + timeout_s;
+  const double deadline = wall_s() + timeout_s;
   while (true) {
     if (auto frame = parse_one()) return frame;
     if (closed()) return std::nullopt;
-    const double remaining = deadline - now_s();
+    const double remaining = deadline - wall_s();
     const bool got_bytes = fill_from_socket(remaining > 0.0 ? remaining : 0.0);
-    if (!got_bytes && now_s() >= deadline) {
+    if (!got_bytes && wall_s() >= deadline) {
       // Last chance: bytes may have landed on the final fill.
       return parse_one();
     }
@@ -544,17 +533,17 @@ Listener::~Listener() {
 }
 
 std::shared_ptr<FrameConn> Listener::accept(double timeout_s) {
-  const double deadline = now_s() + timeout_s;
+  const double deadline = wall_s() + timeout_s;
   while (true) {
     struct pollfd pfd {
       fd_, POLLIN, 0
     };
-    const double remaining = deadline - now_s();
+    const double remaining = deadline - wall_s();
     if (::poll(&pfd, 1, poll_ms_for(remaining)) > 0) {
       const int client = ::accept(fd_, nullptr, nullptr);
       if (client >= 0) return std::make_shared<FrameConn>(client);
     }
-    if (now_s() >= deadline) return nullptr;
+    if (wall_s() >= deadline) return nullptr;
   }
 }
 
@@ -573,7 +562,7 @@ std::shared_ptr<FrameConn> connect_to(const std::string& host_port,
   DDNN_CHECK(::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) == 1,
              "bad IPv4 address '" << host << "'");
 
-  const double deadline = now_s() + timeout_s;
+  const double deadline = wall_s() + timeout_s;
   while (true) {
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     DDNN_CHECK(fd >= 0, "socket(): " << std::strerror(errno));
@@ -586,7 +575,7 @@ std::shared_ptr<FrameConn> connect_to(const std::string& host_port,
       struct pollfd pfd {
         fd, POLLOUT, 0
       };
-      const double remaining = deadline - now_s();
+      const double remaining = deadline - wall_s();
       if (::poll(&pfd, 1, poll_ms_for(remaining)) > 0) {
         int err = 0;
         socklen_t len = sizeof(err);
@@ -595,7 +584,7 @@ std::shared_ptr<FrameConn> connect_to(const std::string& host_port,
       }
     }
     ::close(fd);
-    if (now_s() >= deadline) return nullptr;
+    if (wall_s() >= deadline) return nullptr;
     sleep_s(20e-3);  // server may still be coming up; retry until deadline
   }
 }
@@ -681,12 +670,12 @@ void SocketTransport::mark_down(Channel& ch) {
 
 bool SocketTransport::await_ack(FrameConn& conn, std::uint64_t seq,
                                 double timeout_s) {
-  const double deadline = now_s() + timeout_s;
+  const double deadline = wall_s() + timeout_s;
   while (true) {
-    const double remaining = deadline - now_s();
+    const double remaining = deadline - wall_s();
     auto frame = conn.read_frame(remaining > 0.0 ? remaining : 0.0);
     if (!frame.has_value()) {
-      if (now_s() >= deadline || conn.closed()) return false;
+      if (wall_s() >= deadline || conn.closed()) return false;
       continue;
     }
     if (frame->kind == FrameKind::kAck) {
@@ -746,7 +735,7 @@ void SocketTransport::send_batch(const std::vector<BatchItem>& items,
     Channel* ch = routed[i];
     if (ch == nullptr) continue;
     const BatchItem& item = items[i];
-    const double start = now_s();
+    const double start = wall_s();
     SendResult res;
     res.attempts = 1;
     bool delivered = false;
@@ -755,7 +744,7 @@ void SocketTransport::send_batch(const std::vector<BatchItem>& items,
       while (!delivered && res.attempts <= config_.max_retries) {
         item.link->record_drop(*item.msg);
         res.dropped_attempts += 1;
-        sleep_s(backoff_before_retry(config_, res.attempts - 1));
+        sleep_s(retry_backoff_s(res.attempts - 1));
         res.attempts += 1;
         if (ch->conn->closed()) break;
         if (!ch->conn->write_frame(frames[i], config_.timeout_s)) continue;
@@ -772,7 +761,7 @@ void SocketTransport::send_batch(const std::vector<BatchItem>& items,
       mark_down(*ch);
     }
     res.delivered = delivered;
-    res.latency_s = now_s() - start;
+    res.latency_s = wall_s() - start;
     ch->metrics.book(res, item.msg->payload_bytes());
     results[i] = res;
   }
@@ -807,9 +796,9 @@ std::optional<Frame> SocketTransport::await(const std::string& channel,
       return frame;
     }
   }
-  const double deadline = now_s() + timeout_s;
+  const double deadline = wall_s() + timeout_s;
   while (!ch->conn->closed()) {
-    const double remaining = deadline - now_s();
+    const double remaining = deadline - wall_s();
     if (remaining <= 0.0) break;
     std::optional<Frame> frame;
     try {

@@ -19,10 +19,11 @@
 //                       codec in a versioned length-prefixed frame
 //                       (magic/version/kind/seq/length/CRC32), flushes it
 //                       through a nonblocking fd and waits for the peer's
-//                       ACK, reusing ReliabilityConfig timeout/retry/backoff
-//                       semantics. send_batch() queues frames across
-//                       channels and flushes each connection once (batched
-//                       uplink flushes), then collects the pipelined ACKs.
+//                       ACK, reusing the ReliabilityConfig budget and the
+//                       retry_backoff_s() waits. send_batch() queues frames
+//                       across channels and flushes each connection once
+//                       (batched uplink flushes), then collects the
+//                       pipelined ACKs.
 //
 // The frame layer is the served hierarchy's whole wire contract
 // (docs/ARCHITECTURE.md "Transport layer"); `ddnn serve` (dist/serve.hpp)

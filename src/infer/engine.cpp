@@ -2,52 +2,18 @@
 
 #include <atomic>
 
-#include "util/env.hpp"
-#include "util/error.hpp"
-
 namespace ddnn::infer {
 
 namespace {
 
-// -1 = no override, else static_cast<int>(EngineKind).
-std::atomic<int> g_override{-1};
-
-EngineKind env_engine_kind() {
-  static const EngineKind kind =
-      parse_engine_kind(env_string("DDNN_ENGINE", "plan"));
-  return kind;
-}
+std::atomic<EngineKind> g_kind{EngineKind::kPlan};
 
 }  // namespace
 
-std::string to_string(EngineKind kind) {
-  switch (kind) {
-    case EngineKind::kAutograd: return "autograd";
-    case EngineKind::kPlan: return "plan";
-  }
-  return "?";
-}
-
-EngineKind parse_engine_kind(const std::string& name) {
-  if (name == "autograd") return EngineKind::kAutograd;
-  if (name == "plan") return EngineKind::kPlan;
-  DDNN_CHECK(false, "unknown inference engine '" << name
-                                                 << "' (want autograd|plan)");
-  return EngineKind::kPlan;  // unreachable
-}
-
-EngineKind engine_kind() {
-  const int o = g_override.load(std::memory_order_relaxed);
-  if (o >= 0) return static_cast<EngineKind>(o);
-  return env_engine_kind();
-}
+EngineKind engine_kind() { return g_kind.load(std::memory_order_relaxed); }
 
 void set_engine_kind(EngineKind kind) {
-  g_override.store(static_cast<int>(kind), std::memory_order_relaxed);
-}
-
-void clear_engine_override() {
-  g_override.store(-1, std::memory_order_relaxed);
+  g_kind.store(kind, std::memory_order_relaxed);
 }
 
 }  // namespace ddnn::infer

@@ -12,32 +12,21 @@
 // The two are bit-identical: XNOR-popcount over ±1 operands is exact
 // integer arithmetic, and every float kernel in the plan path either calls
 // the same compiled function as the autograd path or accumulates the same
-// terms in the same order. DDNN_ENGINE=autograd|plan (default plan) selects
-// the path; set_engine_kind() overrides the environment (CLI --engine,
-// tests, benchmarks).
+// terms in the same order. Eval mode always runs the plan engine; the
+// autograd forward trains, and the parity tests pin it through
+// set_engine_kind() as the reference the plan engine must match.
 #pragma once
-
-#include <string>
 
 namespace ddnn::infer {
 
 enum class EngineKind { kAutograd, kPlan };
 
-/// "autograd" / "plan".
-std::string to_string(EngineKind kind);
-
-/// Parse "autograd" / "plan"; throws ddnn::Error otherwise.
-EngineKind parse_engine_kind(const std::string& name);
-
-/// Active engine: the explicit override when set, else DDNN_ENGINE (default
-/// "plan"). Note the caller still gates on eval mode — the plan engine never
-/// runs while training or while the tape is recording.
+/// Active engine (kPlan unless a test pinned another). The caller still
+/// gates on eval mode — the plan engine never runs while training or while
+/// the tape is recording.
 EngineKind engine_kind();
 
-/// Override the environment selection (CLI / tests / benchmarks).
+/// Pin the active engine (the parity tests' seam).
 void set_engine_kind(EngineKind kind);
-
-/// Drop the override and fall back to DDNN_ENGINE.
-void clear_engine_override();
 
 }  // namespace ddnn::infer

@@ -511,9 +511,7 @@ details { margin: .4rem 0 1rem; }
 std::string render_report_html(const ReportOptions& options) {
   const std::string dir =
       options.results_dir.empty() ? results_dir() : options.results_dir;
-  const std::string ledger_path = options.ledger_path.empty()
-                                      ? (dir.empty() ? "" : dir + "/ledger.jsonl")
-                                      : options.ledger_path;
+  const std::string ledger_path = dir.empty() ? "" : dir + "/ledger.jsonl";
   const std::vector<LedgerRecord> ledger =
       ledger_path.empty() ? std::vector<LedgerRecord>{}
                           : read_ledger(ledger_path);

@@ -22,8 +22,6 @@ struct ReportOptions {
   /// Directory holding ledger.jsonl, series exports and bench CSVs.
   /// "" resolves to ddnn::results_dir().
   std::string results_dir;
-  /// Ledger path override; "" resolves to <results_dir>/ledger.jsonl.
-  std::string ledger_path;
   std::string title = "DDNN run report";
 };
 

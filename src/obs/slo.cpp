@@ -17,6 +17,10 @@ namespace {
 /// stays parseable.
 constexpr double kInfiniteBurn = 1.0e9;
 
+/// Both-window burn rates at or above which an objective is warn/critical.
+constexpr double kWarnBurn = 1.0;
+constexpr double kCriticalBurn = 2.0;
+
 double burn_rate(std::int64_t good, std::int64_t bad, double target) {
   const std::int64_t total = good + bad;
   if (total == 0) return 0.0;
@@ -126,11 +130,9 @@ SloStatus SloEngine::status_of(const Objective& o) const {
   s.slow_burn = window_burn(o, o.config.slow_window);
   // Multi-window rule: degrade only when both windows agree — the fast one
   // proves it is happening now, the slow one that it is not a blip.
-  if (s.fast_burn >= o.config.critical_burn &&
-      s.slow_burn >= o.config.critical_burn) {
+  if (s.fast_burn >= kCriticalBurn && s.slow_burn >= kCriticalBurn) {
     s.state = HealthState::kCritical;
-  } else if (s.fast_burn >= o.config.warn_burn &&
-             s.slow_burn >= o.config.warn_burn) {
+  } else if (s.fast_burn >= kWarnBurn && s.slow_burn >= kWarnBurn) {
     s.state = HealthState::kWarn;
   } else {
     s.state = HealthState::kOk;
@@ -209,9 +211,15 @@ Table SloEngine::to_table() const {
 
 namespace {
 
-HealthState latency_state(double p99, const SnapshotSloConfig& config) {
-  if (p99 <= config.latency_slo_ms) return HealthState::kOk;
-  if (p99 <= 2.0 * config.latency_slo_ms) return HealthState::kWarn;
+/// Snapshot objectives: a latency signal's p99 at or under this is ok (at
+/// or under twice it, warn), and the non-degraded fraction must reach the
+/// availability target.
+constexpr double kLatencySloMs = 250.0;
+constexpr double kAvailabilityTarget = 0.99;
+
+HealthState latency_state(double p99) {
+  if (p99 <= kLatencySloMs) return HealthState::kOk;
+  if (p99 <= 2.0 * kLatencySloMs) return HealthState::kWarn;
   return HealthState::kCritical;
 }
 
@@ -222,16 +230,15 @@ bool ends_with(const std::string& s, const std::string& suffix) {
 
 }  // namespace
 
-std::string health_from_metrics(const std::string& metrics_json,
-                                const SnapshotSloConfig& config) {
+std::string health_from_metrics(const std::string& metrics_json) {
   const JsonValue doc = parse_json(metrics_json);
   const JsonValue& metrics = doc.at("metrics");
   DDNN_CHECK(metrics.is_array(), "metrics export is not an array");
 
   std::ostringstream os;
-  os << "{\n  \"slo\": {\"latency_ms\": " << json_double(config.latency_slo_ms)
-     << ", \"availability_target\": "
-     << json_double(config.availability_target) << "},\n  \"signals\": [\n";
+  os << "{\n  \"slo\": {\"latency_ms\": " << json_double(kLatencySloMs)
+     << ", \"availability_target\": " << json_double(kAvailabilityTarget)
+     << "},\n  \"signals\": [\n";
 
   HealthState overall = HealthState::kOk;
   std::vector<std::string> signals;
@@ -253,7 +260,7 @@ std::string health_from_metrics(const std::string& metrics_json,
     const std::int64_t n = m.at("count").i;
     const double p99 = m.at("p99").number();
     const HealthState state =
-        n == 0 ? HealthState::kOk : latency_state(p99, config);
+        n == 0 ? HealthState::kOk : latency_state(p99);
     overall = worse(overall, state);
     std::ostringstream sig;
     sig << "    {\"name\": \"" << name << "\", \"kind\": \"latency\", \"n\": "
@@ -275,10 +282,10 @@ std::string health_from_metrics(const std::string& metrics_json,
       total == 0 ? 1.0
                  : 1.0 - static_cast<double>(bad) / static_cast<double>(total);
   HealthState avail = HealthState::kOk;
-  if (total > 0 && ratio < config.availability_target) {
+  if (total > 0 && ratio < kAvailabilityTarget) {
     // One budget width below target is warn; beyond that, critical.
-    const double budget = 1.0 - config.availability_target;
-    avail = ratio >= config.availability_target - budget
+    const double budget = 1.0 - kAvailabilityTarget;
+    avail = ratio >= kAvailabilityTarget - budget
                 ? HealthState::kWarn
                 : HealthState::kCritical;
   }

@@ -12,10 +12,10 @@
 //
 // i.e. how many times faster than "exactly on target" the error budget is
 // being spent; 1.0 means the tier is consuming its budget exactly at the
-// allowed rate. An objective degrades to `warn`/`critical` only when BOTH
-// windows exceed the respective burn threshold — the standard multi-window
-// rule: the fast window says "it is happening now", the slow window says
-// "it is not just a blip".
+// allowed rate. An objective degrades to `warn` when BOTH windows burn at
+// 1.0 or more, and to `critical` when both burn at 2.0 or more — the
+// standard multi-window rule: the fast window says "it is happening now",
+// the slow window says "it is not just a blip".
 //
 // Determinism contract (docs/OBSERVABILITY.md): record() is single-writer
 // on a monotone simulated clock (the same clocks WindowedSeries keys on),
@@ -25,8 +25,9 @@
 //
 // health_from_metrics() is the snapshot sibling: serve roles have no
 // deterministic simulated clock, so their kHealth answer is derived from
-// the frozen MetricsRegistry export (p99 vs threshold, availability from
-// the degraded/dead counters) rather than from rolling windows.
+// the frozen MetricsRegistry export (p99 vs a 250 ms threshold,
+// availability from the degraded/dead counters vs a 0.99 target) rather
+// than from rolling windows.
 #pragma once
 
 #include <cstdint>
@@ -51,8 +52,6 @@ struct SloObjective {
   double target = 0.99;    ///< required good fraction, in (0, 1]
   double fast_window = 60.0;   ///< "is it happening now" window
   double slow_window = 600.0;  ///< "is it sustained" window
-  double warn_burn = 1.0;      ///< both-window burn threshold for warn
-  double critical_burn = 2.0;  ///< both-window burn threshold for critical
 };
 
 /// Evaluated state of one objective at the current clock.
@@ -151,16 +150,10 @@ class SloEngine {
 
 /// Snapshot health for roles without a deterministic simulated clock
 /// (`ddnn serve`'s kHealth frame): derives per-signal latency states (p99
-/// of every *latency_ms hdr metric vs the threshold) and an
-/// availability state (degraded/dead counters vs total samples) from a
+/// of every *latency_ms hdr metric vs 250 ms) and an availability state
+/// (degraded/dead counters vs total samples, against a 0.99 target) from a
 /// frozen MetricsRegistry JSON export. Output is byte-identical for
 /// identical metrics JSON.
-struct SnapshotSloConfig {
-  double latency_slo_ms = 250.0;      ///< p99 at or under this is ok
-  double availability_target = 0.99;  ///< required non-degraded fraction
-};
-
-std::string health_from_metrics(const std::string& metrics_json,
-                                const SnapshotSloConfig& config);
+std::string health_from_metrics(const std::string& metrics_json);
 
 }  // namespace ddnn::obs

@@ -40,10 +40,13 @@ using core::DdnnConfig;
 using core::DdnnModel;
 using core::HierarchyPreset;
 
-/// Pins the engine for a scope, then restores the DDNN_ENGINE default.
+/// Pins the engine for a scope, then restores the one it replaced.
 struct EngineGuard {
-  explicit EngineGuard(infer::EngineKind k) { infer::set_engine_kind(k); }
-  ~EngineGuard() { infer::clear_engine_override(); }
+  explicit EngineGuard(infer::EngineKind k) : prev(infer::engine_kind()) {
+    infer::set_engine_kind(k);
+  }
+  ~EngineGuard() { infer::set_engine_kind(prev); }
+  infer::EngineKind prev;
 };
 
 /// Pins the pool size for a scope, then restores the env/hardware default.
@@ -69,15 +72,8 @@ Tensor signs_of(const Tensor& t) {
 
 // -------------------------------------------------------- engine selection
 
-TEST(Engine, ParsesAndRoundTripsNames) {
-  EXPECT_EQ(infer::parse_engine_kind("plan"), infer::EngineKind::kPlan);
-  EXPECT_EQ(infer::parse_engine_kind("autograd"), infer::EngineKind::kAutograd);
-  EXPECT_THROW(infer::parse_engine_kind("fast"), Error);
-  EXPECT_EQ(infer::to_string(infer::EngineKind::kPlan), "plan");
-  EXPECT_EQ(infer::to_string(infer::EngineKind::kAutograd), "autograd");
-}
-
 TEST(Engine, OverrideWinsAndClears) {
+  EXPECT_EQ(infer::engine_kind(), infer::EngineKind::kPlan);
   {
     EngineGuard guard(infer::EngineKind::kAutograd);
     EXPECT_EQ(infer::engine_kind(), infer::EngineKind::kAutograd);
@@ -86,6 +82,7 @@ TEST(Engine, OverrideWinsAndClears) {
     EngineGuard guard(infer::EngineKind::kPlan);
     EXPECT_EQ(infer::engine_kind(), infer::EngineKind::kPlan);
   }
+  EXPECT_EQ(infer::engine_kind(), infer::EngineKind::kPlan);
 }
 
 // ---------------------------------------------------------------- workspace

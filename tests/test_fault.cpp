@@ -255,22 +255,37 @@ TEST(ReliableChannel, DeadLinkExhaustsRetriesAndTimesOut) {
   ReliabilityConfig cfg;
   cfg.max_retries = 3;
   cfg.timeout_s = 0.05;
-  cfg.backoff_base_s = 0.01;
-  cfg.backoff_factor = 2.0;
-  cfg.jitter_frac = 0.0;
   ReliableChannel channel(link, &inj, cfg);
   const Message msg = encode_class_scores(Tensor::zeros(Shape{1, 3}));
   const SendResult res = channel.send(msg, 0);
   EXPECT_FALSE(res.delivered);
   EXPECT_EQ(res.attempts, 4);          // 1 + max_retries
   EXPECT_EQ(res.dropped_attempts, 4);
-  // 4 timeouts + backoffs 10, 20, 40 ms (no jitter).
-  EXPECT_NEAR(res.latency_s, 4 * 0.05 + 0.01 + 0.02 + 0.04, 1e-12);
+  // 4 timeouts + backoffs 10, 20, 40 ms, each scaled by its seeded jitter
+  // draw u to (1 + 0.2 (2u - 1)) of nominal.
+  double expected = 4 * 0.05;
+  const double nominal[] = {0.01, 0.02, 0.04};
+  for (int attempt = 1; attempt <= 3; ++attempt) {
+    const double u = inj.backoff_jitter("dead", 0, attempt);
+    expected += nominal[attempt - 1] * (1.0 + 0.2 * (2.0 * u - 1.0));
+  }
+  EXPECT_NEAR(res.latency_s, expected, 1e-12);
   EXPECT_EQ(link.stats().messages, 0);
   EXPECT_EQ(link.stats().bytes, 0);    // nothing delivered
   EXPECT_EQ(link.stats().attempts, 4);
   EXPECT_EQ(link.stats().dropped, 4);
   EXPECT_EQ(link.stats().bytes_dropped, 4 * msg.payload_bytes());
+}
+
+TEST(ReliableChannel, RetryBackoffDoublesAndJitterSpansTwentyPercent) {
+  // u = 0.5, the jitter-free wait a socket retry sleeps, is the nominal
+  // 10 ms doubled per retry, exactly.
+  EXPECT_EQ(retry_backoff_s(0), 0.01);
+  EXPECT_EQ(retry_backoff_s(1), 0.02);
+  EXPECT_EQ(retry_backoff_s(2), 0.04);
+  EXPECT_DOUBLE_EQ(retry_backoff_s(1, 0.0), 0.8 * 0.02);
+  EXPECT_LT(retry_backoff_s(1, 0.999999), 1.2 * 0.02);
+  EXPECT_GT(retry_backoff_s(1, 0.999999), 1.19 * 0.02);
 }
 
 TEST(ReliableChannel, RetryAccountingIsDeterministic) {

@@ -1021,18 +1021,18 @@ TEST(SloEngine, SnapshotHealthFlagsSlowTailAndDeadSamples) {
   reg.counter("runtime.dead").add(10);  // 90% availability vs 99% target
   HdrHistogram& h = reg.hdr_histogram("runtime.hdr_latency_ms", 1e-3, 3.6e6);
   for (int i = 0; i < 100; ++i) h.record(1000.0, 1, i);  // p99 >> 250 ms SLO
-  const std::string health = health_from_metrics(reg.to_json(), {});
+  const std::string health = health_from_metrics(reg.to_json());
   EXPECT_NE(health.find("\"overall\": \"critical\""), std::string::npos);
   EXPECT_NE(health.find("runtime.hdr_latency_ms"), std::string::npos);
   // Deterministic given identical metrics JSON.
-  EXPECT_EQ(health, health_from_metrics(reg.to_json(), {}));
+  EXPECT_EQ(health, health_from_metrics(reg.to_json()));
 
   MetricsRegistry healthy;
   healthy.counter("runtime.samples").add(100);
   HdrHistogram& h2 =
       healthy.hdr_histogram("runtime.hdr_latency_ms", 1e-3, 3.6e6);
   for (int i = 0; i < 100; ++i) h2.record(5.0, 1, i);
-  EXPECT_NE(health_from_metrics(healthy.to_json(), {})
+  EXPECT_NE(health_from_metrics(healthy.to_json())
                 .find("\"overall\": \"ok\""),
             std::string::npos);
 }
@@ -1047,7 +1047,7 @@ TEST(SloEngine, SnapshotHealthReadsOneSignalPerLatencyHdr) {
   HdrHistogram& h = reg.hdr_histogram("runtime.hdr_latency_ms", 1e-3, 3.6e6);
   for (int i = 0; i < 10; ++i) h.record(5.0, 1, i);
   reg.hdr_histogram("runtime.sample_bytes", 1.0, 1048576.0).record(64.0);
-  const std::string health = health_from_metrics(reg.to_json(), {});
+  const std::string health = health_from_metrics(reg.to_json());
   std::size_t signals = 0;
   for (auto at = health.find("\"kind\": \"latency\""); at != std::string::npos;
        at = health.find("\"kind\": \"latency\"", at + 1)) {

@@ -340,16 +340,18 @@ TEST(Budget, ChangingTheBudgetInvalidatesCachedSliceDecisions) {
 
 // ---------------------------------------------------------- plan lifetime
 
-/// Pins the pool size and the plan engine for a scope.
+/// Pins the pool size and the plan engine for a scope, then restores the
+/// pool default and the engine it replaced.
 struct PlanEngineGuard {
-  explicit PlanEngineGuard(int threads) {
+  explicit PlanEngineGuard(int threads) : prev(infer::engine_kind()) {
     ThreadPool::set_size(threads);
     infer::set_engine_kind(infer::EngineKind::kPlan);
   }
   ~PlanEngineGuard() {
-    infer::clear_engine_override();
+    infer::set_engine_kind(prev);
     ThreadPool::set_size(0);
   }
+  infer::EngineKind prev;
 };
 
 const data::MvmcDataset& lifetime_data() {

@@ -297,7 +297,6 @@ ReliabilityConfig fast_reliability() {
   ReliabilityConfig rel;
   rel.max_retries = 1;
   rel.timeout_s = 0.2;
-  rel.backoff_base_s = 1e-3;
   return rel;
 }
 

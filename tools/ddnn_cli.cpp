@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <numeric>
 #include <string>
 #include <thread>
 
@@ -27,7 +28,6 @@
 #include "dist/queueing.hpp"
 #include "dist/runtime.hpp"
 #include "dist/serve.hpp"
-#include "infer/engine.hpp"
 #include "infer/planner.hpp"
 #include "nn/serialize.hpp"
 #include "dist/transport.hpp"
@@ -143,10 +143,6 @@ obs::LedgerRecord ledger_record(const std::string& command,
 /// The options of every command that runs saved weights.
 void add_model_run_options(ArgParser& args) {
   args.add_option("model", "weight file from `ddnn train`", "model.ddnn")
-      .add_option("engine",
-                  "inference engine: autograd|plan (default: $DDNN_ENGINE, "
-                  "else plan)",
-                  "")
       .add_option("mem-budget",
                   "hard cap on any section's planned activation arena in "
                   "bytes (0 = unlimited); over-budget sections are "
@@ -159,23 +155,19 @@ void add_model_run_options(ArgParser& args) {
 /// built from the same flags: arm --profile; apply --mem-budget and clear
 /// the per-tier peak stats, so the run reports only its own planned peaks;
 /// load --model in eval mode (batch-norm running statistics, and what the
-/// plan engine runs on); apply --engine, when given, and name the engine.
+/// plan engine runs on).
 void load_model(const ArgParser& args, core::DdnnModel& model) {
   apply_profile_flag(args);
   infer::set_mem_budget(args.get_int_at_least("mem-budget", 0));
   infer::reset_plan_stats();
   nn::load_state(model, args.get("model"));
   model.set_training(false);
-  if (!args.get("engine").empty()) {
-    infer::set_engine_kind(infer::parse_engine_kind(args.get("engine")));
-  }
-  std::printf("inference engine: %s\n",
-              infer::to_string(infer::engine_kind()).c_str());
 }
 
 /// The summary `ddnn simulate` and the serve driver both print, so their
 /// runs read alike: accuracy, exit counts, latency and bytes, and the
-/// reliability table when anything went wrong.
+/// reliability table when anything went wrong. B/sample/device is the mean
+/// over every device, failed ones included: Eq. 1 when all are healthy.
 void print_run_summary(const dist::RuntimeMetrics& metrics) {
   std::printf("accuracy %.1f%% over %lld samples\n", 100.0 * metrics.accuracy(),
               static_cast<long long>(metrics.samples));
@@ -183,9 +175,17 @@ void print_run_summary(const dist::RuntimeMetrics& metrics) {
   for (const auto c : metrics.exit_counts) {
     std::printf(" %lld", static_cast<long long>(c));
   }
+  const std::int64_t device_bytes =
+      std::accumulate(metrics.device_bytes.begin(), metrics.device_bytes.end(),
+                      std::int64_t{0});
+  const double device_samples =
+      static_cast<double>(metrics.device_bytes.size()) *
+      static_cast<double>(metrics.samples);
   std::printf("\nmean latency %.2f ms, %.1f B/sample/device, total %lld B\n",
               1e3 * metrics.mean_latency_s(),
-              metrics.device_bytes_per_sample(0),
+              device_samples == 0.0
+                  ? 0.0
+                  : static_cast<double>(device_bytes) / device_samples,
               static_cast<long long>(metrics.total_bytes));
   if (metrics.reliability.any()) {
     std::printf("reliability:\n%s",
@@ -303,7 +303,6 @@ int cmd_eval(int argc, const char* const* argv) {
   const auto eval =
       core::evaluate_exits(model, dataset.test(), device_map_from(cfg));
   obs::LedgerRecord rec = ledger_record("eval", args);
-  rec.add_info("engine", infer::to_string(infer::engine_kind()));
   rec.add_info("model", args.get("model"));
   record_mem_peaks(rec);
   for (std::size_t e = 0; e < eval.num_exits(); ++e) {
@@ -521,6 +520,11 @@ int cmd_simulate(int argc, const char* const* argv) {
          Table::num(static_cast<double>(plan_stats.cloud_peak_bytes), 0)});
     std::printf("planned activation peaks:\n%s", peaks.to_string().c_str());
   }
+  // The memory-peak gauges are set before --metrics-out is written, so the
+  // export carries them as the ledger record does.
+  obs::LedgerRecord rec = ledger_record("simulate", args);
+  rec.add_info("threshold", args.get("threshold"));
+  record_mem_peaks(rec);
   write_artifacts(args, &tracer, &series);
   if (!args.get("decisions-out").empty()) {
     dist::write_decisions_csv(args.get("decisions-out"), traces);
@@ -600,10 +604,6 @@ int cmd_simulate(int argc, const char* const* argv) {
     }
   }
 
-  obs::LedgerRecord rec = ledger_record("simulate", args);
-  rec.add_info("engine", infer::to_string(infer::engine_kind()));
-  rec.add_info("threshold", args.get("threshold"));
-  record_mem_peaks(rec);
   rec.add_info("fault-seed", args.get("fault-seed"));
   if (faulty) {
     rec.add_info("drop", args.get("drop"));
@@ -720,18 +720,17 @@ int cmd_serve(int argc, const char* const* argv) {
   const auto result = dist::drive_hierarchy(model, dataset.test(),
                                             device_map_from(cfg), opts);
   print_run_summary(result.metrics);
+  obs::LedgerRecord rec = ledger_record("serve", args);
+  rec.add_info("role", role);
+  rec.add_info("threshold", args.get("threshold"));
+  rec.add_info("transport", "socket");
+  record_mem_peaks(rec);  // before --metrics-out, as in `ddnn simulate`
   write_artifacts(args, &tracer, nullptr);
   if (!opts.decisions_out.empty()) {
     std::printf("wrote %zu decisions to %s\n", result.traces.size(),
                 opts.decisions_out.c_str());
   }
 
-  obs::LedgerRecord rec = ledger_record("serve", args);
-  rec.add_info("role", role);
-  rec.add_info("engine", infer::to_string(infer::engine_kind()));
-  rec.add_info("threshold", args.get("threshold"));
-  rec.add_info("transport", "socket");
-  record_mem_peaks(rec);
   dist::add_ledger_metrics(rec, result.metrics, model.exit_names());
   finish_run(&rec);
   return 0;
