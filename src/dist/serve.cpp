@@ -36,7 +36,6 @@ Frame decision_frame(std::int64_t sample, const TierDecision& d) {
   w.u8(d.degraded ? 1 : 0);
   frame.payload = w.take();
   return frame;
-  return frame;
 }
 
 TierDecision decode_decision(const Frame& frame, std::int64_t* sample) {
@@ -94,18 +93,25 @@ Frame hello_frame(const std::string& role, const std::string& signature,
   return frame;
 }
 
-/// Hello round trip on control channel `ctl`. Returns the peer's clock
-/// offset — what to add to its clock readings to land on ours, NTP-style:
-/// (t0 + t3)/2 - t1 — or nullopt when the peer does not answer in time.
-std::optional<double> handshake(SocketTransport& transport,
-                                const std::string& ctl, const char* role,
-                                const std::string& signature,
-                                double timeout_s) {
+/// Connect to the tier at `addr`, attach control channel `ctl` and `links`
+/// to that one socket, and run the Hello round trip within `timeout_s`.
+/// Returns the peer's clock offset — what to add to its clock readings to
+/// land on ours, NTP-style: (t0 + t3)/2 - t1 — or nullopt when the peer
+/// cannot be reached or does not answer in time.
+std::optional<double> connect_tier(SocketTransport& transport,
+                                   const std::string& addr,
+                                   const std::string& ctl,
+                                   const std::vector<Link>& links,
+                                   const char* role,
+                                   const std::string& signature,
+                                   double timeout_s) {
+  const auto conn = connect_to(addr, kConnectTimeoutS);
+  if (conn == nullptr) return std::nullopt;
+  transport.attach(ctl, conn);
+  for (const Link& l : links) transport.attach(l.name(), conn);
   const double t0 = wall_s();
-  if (!transport.post(ctl, hello_frame(role, signature, t0))) {
-    return std::nullopt;
-  }
-  const auto reply = transport.await(ctl, FrameKind::kHello, timeout_s);
+  const auto reply =
+      transport.request(ctl, hello_frame(role, signature, t0), timeout_s);
   if (!reply.has_value()) return std::nullopt;
   const double t3 = wall_s();
   PayloadReader r(reply->payload.data(), reply->payload.size(), "hello");
@@ -134,17 +140,12 @@ class SocketTier final : public RemoteTier {
                      [](const auto& m) { return m.has_value(); })) {
       return TierDecision{};  // nothing to decide on: no verdict
     }
-    if (transport_.post(ctl_, classify_frame({sample, mode, ctx}))) {
-      // Decisions for samples abandoned earlier are stale: skip them.
-      const double deadline = wall_s() + timeout_s_;
-      while (wall_s() < deadline) {
-        const auto reply =
-            transport_.await(ctl_, FrameKind::kDecision, deadline - wall_s());
-        if (!reply.has_value()) break;
-        std::int64_t answered = -1;
-        const TierDecision d = decode_decision(*reply, &answered);
-        if (answered == sample) return d;
-      }
+    const auto reply = transport_.request(
+        ctl_, classify_frame({sample, mode, ctx}), timeout_s_);
+    if (reply.has_value()) {
+      std::int64_t answered = -1;
+      const TierDecision d = decode_decision(*reply, &answered);
+      if (answered == sample) return d;
     }
     lost = true;
     return std::nullopt;
@@ -184,11 +185,13 @@ struct ServedConn {
 
 /// Shared edge/cloud skeleton: listen (writing the bound port to the port
 /// file for the process that spawned us), poll every connection, answer
-/// Hello and stash data frames, feed each Classify request to
-/// `handle(ServedConn&, const ClassifyRequest&)`, exit when every peer has
-/// disconnected (or the idle timeout fires). Servers are
+/// Hello, stash and Ack data frames, answer each Classify request with the
+/// Decision `handle(ServedConn&, const ClassifyRequest&)` returns, exit
+/// when every peer has disconnected (or the idle timeout fires). Every
+/// reply carries its request's seq (answer()). Servers are
 /// single-threaded: each request runs to completion on the accept thread,
-/// so per-thread == per-connection inference workspaces (infer/workspace).
+/// in arrival order per connection, so per-thread == per-connection
+/// inference workspaces (infer/workspace).
 class FrameServer {
  public:
   FrameServer(const char* role, std::string signature,
@@ -252,7 +255,7 @@ class FrameServer {
         if (sc.conn->closed()) continue;
         std::vector<Frame> frames;
         try {
-          frames = sc.conn->poll_frames();
+          frames = sc.conn->ready_frames();
         } catch (const ddnn::Error& e) {
           std::fprintf(stderr, "ddnn serve [%s]: dropping peer: %s\n", role_,
                        e.what());
@@ -280,11 +283,13 @@ class FrameServer {
           }
           try {
             if (frame.kind == FrameKind::kHello) {
-              answer_hello(sc, frame);
+              answer(sc, frame, hello_reply(frame));
             } else if (is_data_kind(frame.kind)) {
-              accept_data(sc, frame);
+              stash(sc, frame);
+              answer(sc, frame, Frame{FrameKind::kAck, 0, {}});
             } else if (frame.kind == FrameKind::kClassify) {
-              handle(sc, decode_classify(frame));
+              const ClassifyRequest req = decode_classify(frame);
+              answer(sc, frame, decision_frame(req.sample, handle(sc, req)));
             }
           } catch (const ddnn::Error& e) {
             std::fprintf(stderr, "ddnn serve [%s]: request failed: %s\n",
@@ -333,13 +338,9 @@ class FrameServer {
     } else {
       doc = obs::health_from_metrics(opts_.metrics->to_json());
     }
-    Frame reply;
-    reply.kind = frame.kind;
-    reply.seq = frame.seq;
     PayloadWriter w;
     w.str(doc);
-    reply.payload = w.take();
-    sc.conn->queue(reply);
+    answer(sc, frame, Frame{frame.kind, 0, w.take()});
   }
 
   /// Collect sample `s`'s pending messages into a branch-indexed vector and
@@ -359,25 +360,28 @@ class FrameServer {
   }
 
  private:
-  /// ACK a data frame and stash its Message under (sample, branch).
-  void accept_data(ServedConn& sc, const Frame& frame) {
+  /// Queue `reply` as the answer to `request`: every reply carries its
+  /// request's seq, the one rule requesters match replies by.
+  static void answer(ServedConn& sc, const Frame& request, Frame reply) {
+    reply.seq = request.seq;
+    sc.conn->queue(reply);
+  }
+
+  /// Stash a data frame's Message under (sample, branch).
+  static void stash(ServedConn& sc, const Frame& frame) {
     MessageMeta meta;
     Message msg = frame_message(frame, &meta);
     sc.pending[meta.sample][meta.branch] = std::move(msg);
     // Bound the stash: a sample the driver abandoned (timeout ladder) would
     // otherwise pin its features forever.
     while (sc.pending.size() > 64) sc.pending.erase(sc.pending.begin());
-    Frame ack;
-    ack.kind = FrameKind::kAck;
-    ack.seq = frame.seq;
-    sc.conn->queue(ack);
   }
 
-  /// Answer a Hello with our own (role, signature); a mismatched model is a
-  /// loud failure on both ends instead of silently-diverging inference. The
+  /// Our own (role, signature) for a Hello; a mismatched model is a loud
+  /// failure on both ends instead of silently-diverging inference. The
   /// reply timestamp is this process's clock at handling time — the t1 of
   /// the sender's NTP-style offset estimate.
-  void answer_hello(ServedConn& sc, const Frame& frame) {
+  Frame hello_reply(const Frame& frame) const {
     PayloadReader r(frame.payload.data(), frame.payload.size(), "hello");
     const std::string peer_role = r.str();
     const std::string peer_sig = r.str();
@@ -385,9 +389,7 @@ class FrameServer {
                "model mismatch: peer '" << peer_role << "' runs " << peer_sig
                                         << ", this " << role_ << " runs "
                                         << signature_);
-    Frame reply = hello_frame(role_, signature_, wall_s());
-    reply.seq = frame.seq;
-    sc.conn->queue(reply);
+    return hello_frame(role_, signature_, wall_s());
   }
 
   /// Lowest free connection-slot gauge, minting serve.conn<slot>.queued_bytes
@@ -496,9 +498,7 @@ int serve_cloud(core::DdnnModel& model, const ServeOptions& opts) {
                              : cfg.num_devices;
     auto msgs =
         server.take_sample(sc, req.sample, static_cast<std::size_t>(branches));
-    sc.conn->queue(decision_frame(
-        req.sample,
-        runtime.cloud_step(req.sample, req.mode, std::move(msgs), req.ctx)));
+    return runtime.cloud_step(req.sample, req.mode, std::move(msgs), req.ctx);
   });
 }
 
@@ -519,14 +519,10 @@ int serve_edge(core::DdnnModel& model, const ServeOptions& opts) {
   runtime.set_transport(&uplink);
   if (!opts.blackhole) {
     DDNN_CHECK(!opts.cloud_addr.empty(), "edge role needs --cloud host:port");
-    auto cloud_conn = connect_to(opts.cloud_addr, kConnectTimeoutS);
-    DDNN_CHECK(cloud_conn != nullptr,
+    DDNN_CHECK(connect_tier(uplink, opts.cloud_addr, "cloud-ctl",
+                            runtime.edge_cloud_links(), "edge", signature,
+                            kConnectTimeoutS),
                "cannot reach the cloud at " << opts.cloud_addr);
-    uplink.attach(runtime.edge_cloud_links()[0].name(), cloud_conn);
-    uplink.attach("cloud-ctl", cloud_conn);
-    DDNN_CHECK(handshake(uplink, "cloud-ctl", "edge", signature,
-                         kConnectTimeoutS),
-               "cloud handshake failed");
   }
   if (opts.tracer != nullptr) {
     opts.tracer->set_process(1, "edge");
@@ -536,13 +532,11 @@ int serve_edge(core::DdnnModel& model, const ServeOptions& opts) {
   FrameServer server("edge", signature, opts);
   const int rc = server.run([&](ServedConn& sc, const ClassifyRequest& req) {
     // An edge serves only the normal route.
-    sc.conn->queue(decision_frame(
+    return runtime.edge_step(
         req.sample,
-        runtime.edge_step(
-            req.sample,
-            server.take_sample(sc, req.sample,
-                               static_cast<std::size_t>(cfg.num_devices)),
-            req.ctx)));
+        server.take_sample(sc, req.sample,
+                           static_cast<std::size_t>(cfg.num_devices)),
+        req.ctx);
   });
   if (!opts.blackhole && !uplink.channel_down("cloud-ctl")) {
     Frame bye;
@@ -589,33 +583,22 @@ DriveResult drive_hierarchy(core::DdnnModel& model,
   obs::SpanTracer* tr = opts.tracer;
   if (tr != nullptr) tr->set_process(0, "driver");
 
-  // Every channel into a tier rides that tier's one socket.
-  const auto attach = [&](const char* ctl, const std::vector<Link>& links,
-                          const std::shared_ptr<FrameConn>& conn) {
-    transport.attach(ctl, conn);
-    for (const Link& l : links) transport.attach(l.name(), conn);
-  };
-  auto cloud_conn = connect_to(opts.cloud_addr, kConnectTimeoutS);
-  DDNN_CHECK(cloud_conn != nullptr,
+  // Every channel into a tier rides that tier's one socket. Without an edge
+  // tier the device uplinks end at the cloud; with one, the cloud takes the
+  // fallback links.
+  const auto cloud_offset = connect_tier(
+      transport, opts.cloud_addr, "cloud-ctl",
+      cfg.has_edge() ? runtime.device_cloud_fallback_links()
+                     : runtime.device_uplink_links(),
+      "driver", signature, kConnectTimeoutS);
+  DDNN_CHECK(cloud_offset.has_value(),
              "cannot reach the cloud at " << opts.cloud_addr);
-  // Without an edge tier the device uplinks end at the cloud; with one, the
-  // cloud takes the fallback links.
-  attach("cloud-ctl",
-         cfg.has_edge() ? runtime.device_cloud_fallback_links()
-                        : runtime.device_uplink_links(),
-         cloud_conn);
-  const auto cloud_offset = handshake(transport, "cloud-ctl", "driver",
-                                      signature, kConnectTimeoutS);
-  DDNN_CHECK(cloud_offset.has_value(), "cloud handshake failed");
   if (tr != nullptr) tr->set_meta("offset_cloud_s", *cloud_offset);
 
   if (cfg.has_edge()) {
-    std::optional<double> edge_offset;
-    if (auto edge_conn = connect_to(opts.edge_addr, kConnectTimeoutS)) {
-      attach("edge-ctl", runtime.device_uplink_links(), edge_conn);
-      edge_offset = handshake(transport, "edge-ctl", "driver", signature,
-                              opts.decision_timeout_s);
-    }
+    const auto edge_offset = connect_tier(
+        transport, opts.edge_addr, "edge-ctl", runtime.device_uplink_links(),
+        "driver", signature, opts.decision_timeout_s);
     if (edge_offset.has_value()) {
       if (tr != nullptr) tr->set_meta("offset_edge_s", *edge_offset);
     } else {

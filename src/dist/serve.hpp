@@ -7,7 +7,10 @@
 // Every role runs a HierarchyRuntime over SocketTransport frames
 // (dist/transport.hpp): the driver's classify() reaches the edge and the
 // cloud as remote tiers, the edge process runs the edge step with the cloud
-// as its remote tier, and the cloud runs the cloud step. The route ladder
+// as its remote tier, and the cloud runs the cloud step. A serving role
+// answers each connection's frames in arrival order, and every reply — Ack,
+// Hello, Decision, Stats, Health — carries its request's seq, the one rule
+// a requester matches replies by (FrameConn::await_reply). The route ladder
 // is therefore the simulator's own, and a loopback run reproduces `ddnn
 // simulate`'s per-sample exits, predictions, entropies and bytes (the
 // serve_loopback_e2e and test_serve checks); only latency, measured on the
@@ -68,12 +71,12 @@ struct ServeOptions {
   obs::MetricsRegistry* metrics = nullptr;    // not owned
 };
 
-/// Run the cloud tier: listen, ACK feature/raw frames, answer each Classify
+/// Run the cloud tier: listen, Ack feature/raw frames, answer each Classify
 /// request with the Decision of HierarchyRuntime::cloud_step. Returns a
 /// process exit code.
 int serve_cloud(core::DdnnModel& model, const ServeOptions& opts);
 
-/// Run the edge tier: ACK device feature frames, answer each Classify
+/// Run the edge tier: Ack device feature frames, answer each Classify
 /// request with the Decision of HierarchyRuntime::edge_step, which reaches
 /// the cloud as a remote tier.
 int serve_edge(core::DdnnModel& model, const ServeOptions& opts);

@@ -104,25 +104,28 @@ void LinkCounters::book(const SendResult& res,
   }
 }
 
-// ---------------------------------------------------------- SimTransport
+// ------------------------------------------------------------ transports
 
 SimTransport::SimTransport(ReliabilityConfig config)
     : config_(std::move(config)) {
   config_.validate();
 }
 
-void Transport::send_batch(const std::vector<BatchItem>& items,
-                           std::vector<SendResult>& results) {
-  results.clear();
-  for (const BatchItem& item : items) {
-    results.push_back(send(*item.link, *item.msg, item.sample));
-  }
+SendResult Transport::send(Link& link, const Message& msg,
+                           std::int64_t sample_index) {
+  std::vector<SendResult> results;
+  send_batch({BatchItem{&link, &msg, sample_index, 0, TraceContext{}}},
+             results);
+  return results[0];
 }
 
-SendResult SimTransport::send(Link& link, const Message& msg,
-                              std::int64_t sample_index) {
-  ReliableChannel channel(link, injector_, config_);
-  return channel.send(msg, sample_index);
+void SimTransport::send_batch(const std::vector<BatchItem>& items,
+                              std::vector<SendResult>& results) {
+  results.clear();
+  for (const BatchItem& item : items) {
+    results.push_back(ReliableChannel(*item.link, injector_, config_)
+                          .send(*item.msg, item.sample));
+  }
 }
 
 // ----------------------------------------------------------- frame codec
@@ -495,7 +498,21 @@ std::optional<Frame> FrameConn::read_frame(double timeout_s) {
   }
 }
 
-std::vector<Frame> FrameConn::poll_frames() {
+std::optional<Frame> FrameConn::await_reply(std::uint64_t seq,
+                                            double timeout_s) {
+  const double deadline = wall_s() + timeout_s;
+  while (true) {
+    const double remaining = deadline - wall_s();
+    auto frame = read_frame(remaining > 0.0 ? remaining : 0.0);
+    if (frame.has_value()) {
+      if (frame->seq == seq) return frame;
+      continue;  // late reply to an abandoned or retried request
+    }
+    if (closed() || wall_s() >= deadline) return std::nullopt;
+  }
+}
+
+std::vector<Frame> FrameConn::ready_frames() {
   while (fill_from_socket(0.0)) {
   }
   std::vector<Frame> frames;
@@ -668,31 +685,6 @@ void SocketTransport::mark_down(Channel& ch) {
   channels_down_->set(static_cast<double>(down));
 }
 
-bool SocketTransport::await_ack(FrameConn& conn, std::uint64_t seq,
-                                double timeout_s) {
-  const double deadline = wall_s() + timeout_s;
-  while (true) {
-    const double remaining = deadline - wall_s();
-    auto frame = conn.read_frame(remaining > 0.0 ? remaining : 0.0);
-    if (!frame.has_value()) {
-      if (wall_s() >= deadline || conn.closed()) return false;
-      continue;
-    }
-    if (frame->kind == FrameKind::kAck) {
-      if (frame->seq == seq) return true;
-      continue;  // stale ack from an earlier timed-out attempt
-    }
-    inbox_[&conn].push_back(std::move(*frame));
-  }
-}
-
-SendResult SocketTransport::send(Link& link, const Message& msg,
-                                 std::int64_t sample_index) {
-  std::vector<BatchItem> one(1);
-  one[0] = BatchItem{&link, &msg, sample_index, 0, TraceContext{}};
-  return send_batch(one)[0];
-}
-
 void SocketTransport::send_batch(const std::vector<BatchItem>& items,
                                  std::vector<SendResult>& results) {
   results.assign(items.size(), SendResult{});
@@ -740,7 +732,11 @@ void SocketTransport::send_batch(const std::vector<BatchItem>& items,
     res.attempts = 1;
     bool delivered = false;
     try {
-      delivered = await_ack(*ch->conn, frames[i].seq, config_.timeout_s);
+      const auto acked = [&] {
+        return ch->conn->await_reply(frames[i].seq, config_.timeout_s)
+            .has_value();
+      };
+      delivered = acked();
       while (!delivered && res.attempts <= config_.max_retries) {
         item.link->record_drop(*item.msg);
         res.dropped_attempts += 1;
@@ -748,7 +744,7 @@ void SocketTransport::send_batch(const std::vector<BatchItem>& items,
         res.attempts += 1;
         if (ch->conn->closed()) break;
         if (!ch->conn->write_frame(frames[i], config_.timeout_s)) continue;
-        delivered = await_ack(*ch->conn, frames[i].seq, config_.timeout_s);
+        delivered = acked();
       }
     } catch (const ddnn::Error&) {
       delivered = false;  // reset or protocol error mid-wait
@@ -783,35 +779,19 @@ bool SocketTransport::post(const std::string& channel, const Frame& frame) {
   }
 }
 
-std::optional<Frame> SocketTransport::await(const std::string& channel,
-                                            FrameKind kind,
-                                            double timeout_s) {
+std::optional<Frame> SocketTransport::request(const std::string& channel,
+                                              const Frame& frame,
+                                              double timeout_s) {
+  Frame out = frame;
+  out.seq = next_seq_++;
+  if (!post(channel, out)) return std::nullopt;
   Channel* ch = find(channel);
-  if (ch == nullptr || ch->conn == nullptr) return std::nullopt;
-  auto& inbox = inbox_[ch->conn.get()];
-  for (auto it = inbox.begin(); it != inbox.end(); ++it) {
-    if (it->kind == kind) {
-      Frame frame = std::move(*it);
-      inbox.erase(it);
-      return frame;
-    }
+  try {
+    return ch->conn->await_reply(out.seq, timeout_s);
+  } catch (const ddnn::Error&) {
+    mark_down(*ch);
+    return std::nullopt;
   }
-  const double deadline = wall_s() + timeout_s;
-  while (!ch->conn->closed()) {
-    const double remaining = deadline - wall_s();
-    if (remaining <= 0.0) break;
-    std::optional<Frame> frame;
-    try {
-      frame = ch->conn->read_frame(remaining);
-    } catch (const ddnn::Error&) {
-      mark_down(*ch);
-      return std::nullopt;
-    }
-    if (!frame.has_value()) continue;
-    if (frame->kind == kind) return frame;
-    if (frame->kind != FrameKind::kAck) inbox.push_back(std::move(*frame));
-  }
-  return std::nullopt;
 }
 
 }  // namespace ddnn::dist

@@ -4,7 +4,7 @@
 // device→edge/cloud features, edge→cloud escalation, raw-image fallback —
 // goes through one seam:
 //
-//   SendResult Transport::send(Link&, const Message&, sample_index)
+//   void Transport::send_batch(items, results)
 //
 // with two implementations:
 //
@@ -15,15 +15,19 @@
 //                       the simulator stays the oracle every determinism
 //                       CTest pins.
 //   * SocketTransport — real TCP. Each logical channel (Link::name()) is
-//                       attached to a FrameConn; send() wraps the Message
+//                       attached to a FrameConn; a send wraps the Message
 //                       codec in a versioned length-prefixed frame
-//                       (magic/version/kind/seq/length/CRC32), flushes it
-//                       through a nonblocking fd and waits for the peer's
-//                       ACK, reusing the ReliabilityConfig budget and the
-//                       retry_backoff_s() waits. send_batch() queues frames
-//                       across channels and flushes each connection once
-//                       (batched uplink flushes), then collects the
-//                       pipelined ACKs.
+//                       (magic/version/kind/seq/length/CRC32). send_batch()
+//                       queues the frames across channels, flushes each
+//                       connection once (batched uplink flushes), then
+//                       collects the pipelined Acks, reusing the
+//                       ReliabilityConfig budget and the retry_backoff_s()
+//                       waits.
+//
+// One rule matches every reply to its request: a reply carries its
+// request's seq (FrameConn::await_reply). Acks, Hello, Decision, Stats and
+// Health replies all follow it, and any other frame a requester reads is a
+// late reply to a request it has abandoned or retried.
 //
 // The frame layer is the served hierarchy's whole wire contract
 // (docs/ARCHITECTURE.md "Transport layer"); `ddnn serve` (dist/serve.hpp)
@@ -31,7 +35,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -80,14 +83,6 @@ class Transport {
  public:
   virtual ~Transport() = default;
 
-  /// Reliable delivery of `msg` on the logical channel identified by
-  /// `link`, applying the implementation's timeout/retry/backoff policy.
-  /// Delivered traffic (and dropped attempts) is accounted into `link`'s
-  /// stats; `latency_s` is simulated seconds (sim) or measured wall seconds
-  /// (socket).
-  virtual SendResult send(Link& link, const Message& msg,
-                          std::int64_t sample_index) = 0;
-
   /// One message of a batched send, with the routing metadata its frame
   /// carries.
   struct BatchItem {
@@ -97,16 +92,17 @@ class Transport {
     std::int32_t branch = 0;
     TraceContext trace;
   };
-  /// Send every item, results[i] answering items[i]. The default sends them
-  /// one by one; SocketTransport queues them all, flushes each connection
-  /// once and collects the pipelined ACKs.
+  /// Reliable delivery of every item on the logical channel its `link`
+  /// names, applying the implementation's timeout/retry/backoff policy;
+  /// results[i] answers items[i], and `results` keeps its capacity.
+  /// Delivered traffic (and dropped attempts) is accounted into each link's
+  /// stats; `latency_s` is simulated seconds (sim) or measured wall seconds
+  /// (socket).
   virtual void send_batch(const std::vector<BatchItem>& items,
-                          std::vector<SendResult>& results);
-  std::vector<SendResult> send_batch(const std::vector<BatchItem>& items) {
-    std::vector<SendResult> results;
-    send_batch(items, results);
-    return results;
-  }
+                          std::vector<SendResult>& results) = 0;
+
+  /// send_batch() of one item.
+  SendResult send(Link& link, const Message& msg, std::int64_t sample_index);
 
   /// Whether SendResult latencies are measured wall time (real networks) or
   /// modelled (the simulator). The runtime charges compute the same way:
@@ -131,14 +127,13 @@ class SimTransport : public Transport {
  public:
   explicit SimTransport(ReliabilityConfig config = {});
 
-  SendResult send(Link& link, const Message& msg,
-                  std::int64_t sample_index) override;
+  /// One ReliableChannel send per item, in order.
+  void send_batch(const std::vector<BatchItem>& items,
+                  std::vector<SendResult>& results) override;
   void set_fault_injector(const FaultInjector* injector) override {
     injector_ = injector;
   }
   const char* name() const override { return "sim"; }
-
-  const FaultInjector* fault_injector() const { return injector_; }
 
  private:
   ReliabilityConfig config_;
@@ -149,11 +144,13 @@ class SimTransport : public Transport {
 
 /// "DDNN" little-endian.
 inline constexpr std::uint32_t kFrameMagic = 0x4E4E4444u;
-/// v2: data-frame metadata carries a trace context (trace id + parent span)
-/// after [sample][branch]; Hello and Classify payloads grew timestamp /
-/// trace fields. The header layout is unchanged; the version equality check
-/// keeps mismatched builds from talking past each other.
-inline constexpr std::uint8_t kFrameVersion = 2;
+/// v3: every reply echoes its request's seq — the Decision now carries its
+/// Classify's (v2 sent 0), so a v2 peer would look like a dead tier instead
+/// of a mismatched build. v2 added the trace context to data frames and the
+/// Hello/Classify timestamp and trace fields. The header layout is
+/// unchanged; the version equality check keeps mismatched builds from
+/// talking past each other.
+inline constexpr std::uint8_t kFrameVersion = 3;
 /// magic(4) version(1) kind(1) reserved(2) seq(8) length(4) crc32(4); the
 /// CRC covers header bytes [4, 20) plus the payload, so corruption anywhere
 /// but the magic/CRC fields themselves fails the checksum (and those two
@@ -165,10 +162,11 @@ inline constexpr std::uint32_t kMaxFramePayload = 64u << 20;
 
 enum class FrameKind : std::uint8_t {
   // Control plane.
+  // Every reply carries its request's seq.
   kHello = 1,     ///< handshake: role + model signature; peer echoes
-  kAck = 2,       ///< delivery ack; seq echoes the acked data frame
+  kAck = 2,       ///< delivery ack; the reply to a data frame
   kClassify = 3,  ///< "decide this sample": [i64 sample][u8 mode]
-  kDecision = 4,  ///< a tier's verdict on a sample (dist::TierDecision)
+  kDecision = 4,  ///< the reply to a Classify (dist::TierDecision)
   kBye = 5,       ///< orderly shutdown
   kStats = 6,     ///< live telemetry poll; reply payload = metrics JSON
   kHealth = 7,    ///< SLO health poll; reply payload = health JSON
@@ -286,9 +284,15 @@ class FrameConn {
   /// check closed() to tell them apart). Throws on protocol violations.
   std::optional<Frame> read_frame(double timeout_s);
 
+  /// The reply to request `seq` within `timeout_s`. Every reply echoes its
+  /// request's seq, so any other frame is a late reply to an abandoned or
+  /// retried request and is dropped. nullopt on timeout or orderly EOF
+  /// (check closed()); throws on protocol violations.
+  std::optional<Frame> await_reply(std::uint64_t seq, double timeout_s);
+
   /// Consume whatever is readable right now without blocking; parsed
   /// complete frames land in arrival order.
-  std::vector<Frame> poll_frames();
+  std::vector<Frame> ready_frames();
 
   std::size_t queued_bytes() const { return out_.size() - out_pos_; }
 
@@ -357,29 +361,26 @@ class SocketTransport : public Transport {
   /// link columns. Pass nullptr to stop booking.
   void bind_metrics(obs::MetricsRegistry* reg);
 
-  /// One frame: queue + flush + await ACK, retrying per ReliabilityConfig
-  /// (each retry re-sends the frame after jitter-free backoff sleep).
-  SendResult send(Link& link, const Message& msg,
-                  std::int64_t sample_index) override;
   const char* name() const override { return "socket"; }
   bool measures_time() const override { return true; }
 
   /// Batched uplink flush: queue every frame first (one buffered write
-  /// burst per connection), then collect the pipelined ACKs in order.
-  using Transport::send_batch;
+  /// burst per connection), then await the pipelined Acks in order; an item
+  /// whose Ack times out re-sends the same frame (same seq) after
+  /// jitter-free backoff sleep, per ReliabilityConfig.
   void send_batch(const std::vector<BatchItem>& items,
                   std::vector<SendResult>& results) override;
 
-  /// Fire a control frame down a channel (no ACK semantics). Returns false
-  /// when the channel is unattached/down or the flush times out.
+  /// Fire a control frame down a channel, giving it the next seq unless it
+  /// carries one. Returns false when the channel is unattached/down or the
+  /// flush times out.
   bool post(const std::string& channel, const Frame& frame);
 
-  /// Wait for the next frame of `kind` on `channel`, buffering any other
-  /// non-ACK traffic into the channel's inbox. nullopt on timeout.
-  std::optional<Frame> await(const std::string& channel, FrameKind kind,
-                             double timeout_s);
-
-  const ReliabilityConfig& reliability() const { return config_; }
+  /// Post `frame` with the next seq and await its reply (await_reply).
+  /// nullopt when the post fails or no reply comes within `timeout_s`; a
+  /// connection error also opens the channel's breaker.
+  std::optional<Frame> request(const std::string& channel, const Frame& frame,
+                               double timeout_s);
 
  private:
   struct Channel {
@@ -389,9 +390,6 @@ class SocketTransport : public Transport {
   };
   Channel* find(const std::string& channel);
   const Channel* find(const std::string& channel) const;
-  /// Read frames until an ACK for `seq` arrives or the deadline passes;
-  /// non-ACK frames are stashed into the connection's inbox.
-  bool await_ack(FrameConn& conn, std::uint64_t seq, double timeout_s);
   void register_channel_metrics(const std::string& name, Channel& ch);
   /// One-way breaker transition; books transport.breaker_trips and the
   /// transport.channels_down gauge exactly once per channel.
@@ -400,7 +398,6 @@ class SocketTransport : public Transport {
   ReliabilityConfig config_;
   std::uint64_t next_seq_ = 1;
   std::map<std::string, Channel> channels_;
-  std::map<const FrameConn*, std::deque<Frame>> inbox_;
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::Counter* breaker_trips_ = nullptr;
   obs::Gauge* channels_down_ = nullptr;

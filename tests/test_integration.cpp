@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <filesystem>
+#include <fstream>
 
 #include "core/cache.hpp"
 #include "core/inference.hpp"
@@ -16,6 +18,12 @@
 namespace ddnn {
 namespace {
 
+/// One 16-epoch model shared by every TrainedFixture test. The process
+/// that runs JointLossDecreases — the one test that needs the loss history —
+/// trains it afresh and saves the weights to the model cache; every other
+/// process loads them (core::train_or_load). Under ctest that process is the
+/// FIXTURES_SETUP step (tests/CMakeLists.txt), so the model is trained once
+/// per run, in the build tree, however many test processes read it.
 struct TrainedFixture : public ::testing::Test {
   static void SetUpTestSuite() {
     data::MvmcConfig data_cfg;
@@ -28,8 +36,44 @@ struct TrainedFixture : public ::testing::Test {
         core::DdnnConfig::preset(core::HierarchyPreset::kDevicesCloud));
     core::TrainConfig cfg;
     cfg.epochs = 16;
-    history = new core::TrainHistory(
-        core::train_ddnn(*model, dataset->train(), devices, cfg));
+    history = new core::TrainHistory;
+    const std::string key = "test_integration-TrainedFixture";
+    const bool trains = runs_here("JointLossDecreases");
+    const std::string path =
+        core::cache_dir().empty() ? "" : core::cache_path(key);
+    // Delete the old entry first: no run reads weights older code trained.
+    if (trains && !path.empty()) std::filesystem::remove(path);
+    core::train_or_load(*model, key, [&] {
+      *history = core::train_ddnn(*model, dataset->train(), devices, cfg);
+    });
+    model->set_training(false);  // where train_ddnn leaves it
+    if (trains && !path.empty()) {
+      std::printf("TrainedFixture weights: %s, FNV-1a %016llx\n",
+                  path.c_str(),
+                  static_cast<unsigned long long>(file_digest(path)));
+    }
+  }
+
+  /// Whether this process runs test `name` of this suite.
+  static bool runs_here(const std::string& name) {
+    const auto* suite =
+        ::testing::UnitTest::GetInstance()->current_test_suite();
+    for (int i = 0; i < suite->total_test_count(); ++i) {
+      const auto* test = suite->GetTestInfo(i);
+      if (name == test->name()) return test->should_run();
+    }
+    return false;
+  }
+
+  /// 64-bit FNV-1a of a file's bytes.
+  static std::uint64_t file_digest(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::uint64_t h = 14695981039346656037ull;
+    for (char ch; in.get(ch);) {
+      h ^= static_cast<unsigned char>(ch);
+      h *= 1099511628211ull;
+    }
+    return h;
   }
 
   static void TearDownTestSuite() {

@@ -1,7 +1,8 @@
 // Served hierarchy parity: `ddnn serve`'s roles, run in-process on threads
 // over loopback sockets, must decide every sample exactly as the simulator
 // does — and a remote tier that stops answering must degrade exactly like a
-// simulated outage from that sample on.
+// simulated outage from that sample on. Every reply on the wire carries its
+// request's seq.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -18,8 +19,11 @@
 #include "core/inference.hpp"
 #include "core/model.hpp"
 #include "data/mvmc.hpp"
+#include "dist/message.hpp"
+#include "dist/node.hpp"
 #include "dist/runtime.hpp"
 #include "dist/serve.hpp"
+#include "dist/transport.hpp"
 #include "nn/serialize.hpp"
 
 namespace ddnn::dist {
@@ -178,6 +182,59 @@ TEST_F(ServeParity, BlackholedEdgeMatchesAWholeRunOutage) {
     degraded += got[i].degraded ? 1 : 0;
   }
   EXPECT_GT(degraded, 0);
+}
+
+TEST_F(ServeParity, DecisionEchoesTheClassifySeq) {
+  // The reply rule on the served wire: a raw connection sends a cloud role
+  // a Hello, a data frame and a Classify, and every reply, the Decision
+  // included, carries its request's seq.
+  const auto model = load();
+  const std::string signature = model_signature(*model);
+  Tensor ones(edge_feature_shape(config()));
+  ones.fill(1.0f);
+  const Message features = encode_binary_feature_map(ones);
+  ServeOptions opts;
+  opts.thresholds = thresholds;
+  opts.idle_timeout_s = 30.0;
+  opts.port_file = scratch("cloud.port");
+  std::thread cloud([&] { serve_cloud(*model, opts); });
+  const auto conn =
+      connect_to("127.0.0.1:" + await_port(opts.port_file), 5.0);
+  std::vector<Frame> replies;
+  if (conn != nullptr) {
+    PayloadWriter hello;
+    hello.str("driver");
+    hello.str(signature);
+    hello.f64(0.0);
+    Frame data = make_message_frame(features, /*sample=*/0, /*branch=*/0);
+    data.seq = 12;
+    PayloadWriter classify;
+    classify.i64(0);  // sample
+    classify.u8(static_cast<std::uint8_t>(ClassifyMode::kNormal));
+    classify.u64(0);  // trace id
+    classify.u64(0);  // parent span
+    conn->queue({FrameKind::kHello, 11, hello.take()});
+    conn->queue(data);
+    conn->queue({FrameKind::kClassify, 13, classify.take()});
+    EXPECT_TRUE(conn->flush(5.0));
+    while (replies.size() < 3) {
+      auto frame = conn->read_frame(5.0);
+      if (!frame.has_value()) break;
+      replies.push_back(std::move(*frame));
+    }
+    conn->write_frame({FrameKind::kBye, 14, {}}, 5.0);
+  }
+  cloud.join();  // the cloud exits once its one peer has said Bye
+  std::remove(opts.port_file.c_str());
+
+  ASSERT_NE(conn, nullptr);
+  ASSERT_EQ(replies.size(), 3u);
+  EXPECT_EQ(replies[0].kind, FrameKind::kHello);
+  EXPECT_EQ(replies[0].seq, 11u);
+  EXPECT_EQ(replies[1].kind, FrameKind::kAck);
+  EXPECT_EQ(replies[1].seq, 12u);
+  EXPECT_EQ(replies[2].kind, FrameKind::kDecision);
+  EXPECT_EQ(replies[2].seq, 13u);
 }
 
 /// An edge in "another process" that answers through the in-process edge

@@ -1,11 +1,13 @@
 // Tests for the transport seam (dist/transport.hpp): frame codec
 // round-trips and fuzzed corruption over every kind, payload-reader
-// truncation, SimTransport == ReliableChannel identity, and a conformance
-// suite run against both SimTransport and a loopback SocketTransport.
+// truncation, SimTransport == ReliableChannel identity, the reply rule
+// (FrameConn::await_reply), and a conformance suite run against both
+// SimTransport and a loopback SocketTransport.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,6 +19,7 @@
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "util/error.hpp"
+#include "util/stopwatch.hpp"
 
 namespace ddnn::dist {
 namespace {
@@ -240,6 +243,53 @@ TEST(SimTransport, IdenticalToDirectReliableChannel) {
   }
 }
 
+// ------------------------------------------------------------ reply rule
+
+/// A connected loopback pair: `client` awaits, `server` answers.
+struct LoopbackPair {
+  LoopbackPair()
+      : listener(0),
+        client(connect_to("127.0.0.1:" + std::to_string(listener.port()),
+                          5.0)),
+        server(listener.accept(5.0)) {}
+  Listener listener;
+  std::shared_ptr<FrameConn> client;
+  std::shared_ptr<FrameConn> server;
+};
+
+TEST(ReplyRule, AwaitReplySkipsStaleReplies) {
+  // Late replies to abandoned or retried requests (an Ack and a Decision
+  // with older seqs) arrive first; await_reply returns the one reply that
+  // carries the request's seq.
+  LoopbackPair pair;
+  ASSERT_NE(pair.client, nullptr);
+  ASSERT_NE(pair.server, nullptr);
+  pair.server->queue({FrameKind::kAck, 3, {}});
+  pair.server->queue({FrameKind::kDecision, 4, {1, 2, 3}});
+  pair.server->queue({FrameKind::kDecision, 5, {9}});
+  ASSERT_TRUE(pair.server->flush(5.0));
+  const auto reply = pair.client->await_reply(5, 5.0);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->kind, FrameKind::kDecision);
+  EXPECT_EQ(reply->seq, 5u);
+  EXPECT_EQ(reply->payload, std::vector<std::uint8_t>{9});
+}
+
+TEST(ReplyRule, OnlyStaleRepliesTimeOut) {
+  LoopbackPair pair;
+  ASSERT_NE(pair.client, nullptr);
+  ASSERT_NE(pair.server, nullptr);
+  pair.server->queue({FrameKind::kAck, 3, {}});
+  pair.server->queue({FrameKind::kDecision, 4, {1, 2, 3}});
+  ASSERT_TRUE(pair.server->flush(5.0));
+  const double start = wall_s();
+  EXPECT_FALSE(pair.client->await_reply(5, 0.2).has_value());
+  const double waited = wall_s() - start;
+  EXPECT_GE(waited, 0.2);  // returns at its deadline, not before
+  EXPECT_LT(waited, 2.0);
+  EXPECT_FALSE(pair.client->closed());
+}
+
 // -------------------------------------------------- transport conformance
 
 /// Loopback peer: ACKs every data frame as it arrives (in arrival order)
@@ -366,7 +416,8 @@ TEST(TransportConformance, SocketBatchKeepsPerItemOrder) {
                      /*branch=*/static_cast<std::int32_t>(i),
                      TraceContext{}});
   }
-  const auto results = transport.send_batch(batch);
+  std::vector<SendResult> results;
+  transport.send_batch(batch, results);
   ASSERT_EQ(results.size(), msgs.size());
   for (const auto& res : results) EXPECT_TRUE(res.delivered);
   ASSERT_EQ(peer.payloads().size(), msgs.size());

@@ -777,43 +777,21 @@ void write_text(const std::string& path, const std::string& text,
   std::printf("wrote %s to %s\n", what, path.c_str());
 }
 
-/// One request/reply round of a poll-style frame (Stats or Health) against
-/// a serving role; returns the raw JSON payload exactly as the server
-/// rendered it.
-std::string poll_frame(dist::FrameConn& conn, dist::FrameKind kind,
-                       std::uint64_t seq, double timeout_s) {
+/// One Stats or Health request/reply round against a serving role;
+/// returns the raw JSON payload exactly as the server rendered it.
+std::string poll_json(dist::FrameConn& conn, dist::FrameKind kind,
+                      std::uint64_t seq, double timeout_s) {
   const std::string label = dist::to_string(kind);
-  dist::Frame req;
-  req.kind = kind;
-  req.seq = seq;
-  DDNN_CHECK(conn.write_frame(req, timeout_s),
+  DDNN_CHECK(conn.write_frame({kind, seq, {}}, timeout_s),
              label << " request send timed out");
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration<double>(timeout_s);
-  while (std::chrono::steady_clock::now() < deadline) {
-    const auto reply = conn.read_frame(0.05);
-    if (!reply.has_value()) {
-      DDNN_CHECK(!conn.closed(),
-                 "server closed the " << label << " connection");
-      continue;
-    }
-    if (reply->kind != kind || reply->seq != seq) {
-      continue;  // unrelated traffic on a shared connection
-    }
-    dist::PayloadReader r(reply->payload.data(), reply->payload.size(),
-                          label.c_str());
-    return r.str();
-  }
-  DDNN_CHECK(false, label << " poll timed out after " << timeout_s << " s");
-  return "";
-}
-
-/// One Stats request/reply round against a serving role; returns the raw
-/// metrics-registry JSON exactly as the server rendered it.
-std::string poll_stats(dist::FrameConn& conn, std::uint64_t seq,
-                       double timeout_s) {
-  return poll_frame(conn, dist::FrameKind::kStats, seq, timeout_s);
+  const auto reply = conn.await_reply(seq, timeout_s);
+  DDNN_CHECK(reply.has_value() || !conn.closed(),
+             "server closed the " << label << " connection");
+  DDNN_CHECK(reply.has_value(),
+             label << " poll timed out after " << timeout_s << " s");
+  dist::PayloadReader r(reply->payload.data(), reply->payload.size(),
+                        label.c_str());
+  return r.str();
 }
 
 /// Render one metrics snapshot as the familiar Metric/Type/Value table.
@@ -879,7 +857,7 @@ int cmd_top(int argc, const char* const* argv) {
   while (true) {
     const bool stop = !args.get("stop-file").empty() &&
                       std::ifstream(args.get("stop-file")).good();
-    last = poll_stats(*conn, ++seq, timeout_s);
+    last = poll_json(*conn, dist::FrameKind::kStats, ++seq, timeout_s);
     print_stats(last, static_cast<int>(seq),
                 std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - start)
@@ -935,7 +913,7 @@ int cmd_health(int argc, const char* const* argv) {
     const auto conn = dist::connect_to(args.get("connect"), timeout_s);
     DDNN_CHECK(conn != nullptr, "cannot reach " << args.get("connect"));
     const std::string health =
-        poll_frame(*conn, dist::FrameKind::kHealth, 1, timeout_s);
+        poll_json(*conn, dist::FrameKind::kHealth, 1, timeout_s);
     std::printf("%s", health.c_str());
     if (!args.get("json-out").empty()) {
       write_text(args.get("json-out"), health, "health snapshot");
@@ -953,8 +931,7 @@ int cmd_health(int argc, const char* const* argv) {
   traces.reserve(static_cast<std::size_t>(pool));
   for (std::int64_t i = 0; i < pool; ++i) {
     dist::InferenceTrace t;
-    t.trace_id = (0x9E3779B97F4A7C15ull * static_cast<std::uint64_t>(i + 1)) &
-                 ((1ull << 48) - 1);
+    t.trace_id = dist::trace_id_of(i);
     const std::int64_t r = i % 100;
     if (r < 60) {  // local exit: answered on the device
       t.exit_taken = 0;
